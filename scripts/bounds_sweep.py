@@ -1,7 +1,7 @@
 """Sweep the count bounds over a range of totals and print the envelope.
 
 Usage:
-    python scripts/bounds_sweep.py --max-n 60 [--cache PATH] [--csv PATH] [--json PATH]
+    python scripts/bounds_sweep.py --max-n 60 [--csv PATH] [--json PATH]
 
 The table shows, for every n, the exact count L(n), the partition lower
 bound p(n-1), and the log-space upper bound; the final line reports the
@@ -23,12 +23,11 @@ from oseq.partitions import build_partition_table
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=60, dest="max_n")
-    parser.add_argument("--cache", help="census cache file to reuse and update")
     parser.add_argument("--csv", help="also write the table to this CSV file")
     parser.add_argument("--json", help="also write the full payload to this JSON file")
     args = parser.parse_args()
 
-    census = build_census(args.max_n, cache_path=args.cache)
+    census = build_census(args.max_n)
     partitions = build_partition_table(args.max_n)
     report = build_bounds_report(census, partitions)
 

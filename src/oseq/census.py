@@ -1,16 +1,24 @@
 """Exact census of O-sequences by length.
 
 count_osequences(n) is the number of sequences (1, h_1, ..., h_e) with all
-entries >= 1, summing to n, that satisfy the growth condition. The counter
-memoizes on (degree, last value, remaining sum): the set of admissible
-continuations depends on exactly those three fields, so the state is
-sufficient and shared across different n.
+entries >= 1, summing to n, that satisfy the growth condition.
 
-Key shortcut: once the current value drops to the degree or below
-(last <= degree), every later value is forced nonincreasing, so the
-completions of the state are just the partitions of the remaining sum into
-parts <= last. That collapse is delegated to the partition engine and keeps
-the active state space tiny (active degrees stay below sqrt(2n)).
+The counter is a bottom-up dynamic program over degrees. Write F(d, x, r)
+for the number of ways to finish a sequence with h_d = x and r still to
+place, and G_d(r)[b] = sum of F(d, y, r - y) over 1 <= y <= b. Then:
+
+* F(d, x, 0) = 1, and for r > 0, F(d, x, r) = G_{d+1}(r)[min(r, x^<d>)],
+  one lookup into the next layer;
+* once x <= d the growth condition stops binding (every later value is
+  nonincreasing), so F(d, x, r) is the number of partitions of r into
+  parts <= x, read from the bounded-partition table;
+* L(n) = G_1(n - 1)[n - 1] for n >= 2, so one pass yields every L(1..N).
+
+A value h_d > d forces h_i > i for every earlier i, so the entries through
+degree d sum to at least (d + 1)(d + 2)/2. Layers therefore start at the
+smallest D with (D + 1)(D + 2)/2 > N, where only the tail regime is
+reachable, layer d only needs r <= N - d(d + 1)/2, and only two layers are
+held at a time.
 
 An independent generate-and-test oracle (every composition, filtered by the
 validity test) cross-checks the counter at desk scale; the two share no
@@ -19,9 +27,8 @@ code besides ``is_o_sequence``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import EnumerationCapError, ResourceLimitError
@@ -38,78 +45,69 @@ __all__ = [
     "enumerate_osequences",
     "brute_force_count",
     "build_census",
-    "load_census_cache",
-    "save_census_cache",
 ]
 
 DEFAULT_CENSUS_CEILING = 200
 DEFAULT_STREAM_CAP = 100_000
 BRUTE_FORCE_CAP = 16
 
-CACHE_FORMAT = "oseq-census"
-CACHE_VERSION = 1
-
 
 class CensusCounter:
-    """Memoized counter, reusable across lengths.
+    """Counter of L(n) for every n up to ``ceiling``, reusable across lengths.
 
     By convention no sequence sums to 0 (h_0 = 1 is mandatory), so
-    ``count(0)`` is 0. Counting is single threaded and deterministic; a
-    populated memo is read-only afterwards and safe to share. ``memo_limit``
-    bounds the memo size by clearing it when exceeded, which changes only
-    speed, never results.
+    ``count(0)`` is 0. The first request beyond the lengths already counted
+    recounts every length up to it in one pass (at least doubling the range
+    covered, up to the ceiling); later requests within that range are table
+    lookups.
     """
 
-    def __init__(
-        self,
-        ceiling: int = DEFAULT_CENSUS_CEILING,
-        memo_limit: int | None = None,
-    ) -> None:
+    def __init__(self, ceiling: int = DEFAULT_CENSUS_CEILING) -> None:
         if ceiling < 1:
             raise ValueError("ceiling must be positive")
-        if memo_limit is not None and memo_limit < 1:
-            raise ValueError("memo_limit must be positive when given")
         self.ceiling = ceiling
-        self.memo_limit = memo_limit
-        self._memo: dict[tuple[int, int, int], int] = {}
+        self._counts = [0]  # _counts[n] = L(n)
         self._partitions = BoundedPartitionCounter()
 
     def count(self, n: int) -> int:
         if n < 0:
             raise ValueError(f"length must be nonnegative, got {n}")
-        if n == 0:
-            return 0
         if n > self.ceiling:
             raise ResourceLimitError(
                 f"census length {n} exceeds the configured ceiling {self.ceiling}"
             )
-        remaining = n - 1
-        total = 1 if remaining == 0 else 0
-        # h_1 is unconstrained by the growth condition.
-        for h1 in range(1, remaining + 1):
-            total += self._completions(1, h1, remaining - h1)
-        return total
+        have = len(self._counts) - 1
+        if n > have:
+            self._counts = self._count_through(min(self.ceiling, max(n, 2 * have)))
+        return self._counts[n]
 
-    def _completions(self, degree: int, last: int, remaining: int) -> int:
-        """Ways to finish a sequence with h_degree = last and ``remaining`` to place."""
-        if remaining == 0:
-            return 1
-        if last <= degree:
-            # Tail regime: all later values are nonincreasing, so completions
-            # are partitions of the remainder into parts <= last.
-            return self._partitions.count(remaining, last)
-        key = (degree, last, remaining)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        bound = min(remaining, pseudopower(last, degree))
-        total = 0
-        for nxt in range(1, bound + 1):
-            total += self._completions(degree + 1, nxt, remaining - nxt)
-        if self.memo_limit is not None and len(self._memo) >= self.memo_limit:
-            self._memo.clear()
-        self._memo[key] = total
-        return total
+    def _count_through(self, limit: int) -> list[int]:
+        """L(0..limit) by the layered pass described in the module docstring."""
+        top_degree = 1
+        while (top_degree + 1) * (top_degree + 2) // 2 <= limit:
+            top_degree += 1
+        tail = self._partitions.rows(top_degree, limit)  # tail[y][s] = P(s, parts <= y)
+        upper: list[list[int]] = []  # G_{d+1}, indexed [r][b]
+        for d in range(top_degree, 0, -1):
+            top = limit - d * (d + 1) // 2
+            # Growth caps of the values above the tail regime; capping at
+            # ``top`` changes no lookup, since every lookup is at most r.
+            caps = [min(top, pseudopower(y, d)) for y in range(d + 1, top + 1)]
+            layer: list[list[int]] = []
+            for r in range(top + 1):
+                terms = [tail[y][r - y] for y in range(1, min(d, r) + 1)]
+                if d < top_degree and r > d:
+                    # y runs over d+1..r-1; the final 1 is y = r, which ends the sequence.
+                    terms += [
+                        upper[r - y][min(r - y, cap)] for y, cap in zip(range(d + 1, r), caps)
+                    ]
+                    terms.append(1)
+                row = [0, *accumulate(terms)]
+                # In the top layer values above the degree are unreachable and score 0.
+                row += [row[-1]] * (r + 1 - len(row))
+                layer.append(row)
+            upper = layer
+        return [0, 1] + [upper[n - 1][n - 1] for n in range(2, limit + 1)]
 
 
 def count_osequences(
@@ -172,7 +170,7 @@ def _compositions(total: int) -> Iterator[tuple[int, ...]]:
 def brute_force_count(n: int, hard_cap: int = BRUTE_FORCE_CAP) -> int:
     """Count by generating every 1-prefixed composition and filtering.
 
-    Independent oracle for the memoized counter; the 2^(n-2) compositions
+    Independent oracle for the layered counter; the 2^(n-2) compositions
     keep this to desk scale, enforced by the hard cap.
     """
     if n < 1:
@@ -197,79 +195,16 @@ class CensusTable:
         return self.records[n]
 
 
-def load_census_cache(path: str | Path) -> tuple[dict[int, int], str | None]:
-    """Read a census cache file, tolerating any corruption.
-
-    Returns (values, problem). A missing file is not a problem; anything
-    unreadable, of the wrong format, or of the wrong version yields empty
-    values plus a description, and the caller rebuilds from scratch.
-    """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return {}, None
-    except OSError as exc:
-        return {}, f"unreadable census cache {path}: {exc}"
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        return {}, f"corrupt census cache {path}: {exc}"
-    if (
-        not isinstance(data, dict)
-        or data.get("format") != CACHE_FORMAT
-        or data.get("version") != CACHE_VERSION
-        or not isinstance(data.get("values"), dict)
-    ):
-        return {}, f"census cache {path} has an unrecognized format or version"
-    values: dict[int, int] = {}
-    for key, val in data["values"].items():
-        if not (isinstance(key, str) and key.isdigit() and isinstance(val, str) and val.isdigit()):
-            return {}, f"census cache {path} contains malformed entries"
-        n = int(key)
-        if n < 1:
-            return {}, f"census cache {path} contains malformed entries"
-        values[n] = int(val)
-    return values, None
-
-
-def save_census_cache(path: str | Path, values: dict[int, int]) -> None:
-    """Write counts as decimal strings under a format-version header."""
-    payload = {
-        "format": CACHE_FORMAT,
-        "version": CACHE_VERSION,
-        "values": {str(n): str(count) for n, count in sorted(values.items())},
-    }
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def build_census(
     max_n: int,
     ceiling: int = DEFAULT_CENSUS_CEILING,
-    cache_path: str | Path | None = None,
     counter: CensusCounter | None = None,
 ) -> CensusTable:
-    """Compute counts for every length 1..max_n, one shared memo.
-
-    With a cache path, previously stored values are reused and newly
-    computed ones written back; a bad cache is ignored and rebuilt. Cached
-    values beyond max_n are preserved on write.
-    """
+    """Compute counts for every length 1..max_n in one pass."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    cached: dict[int, int] = {}
-    if cache_path is not None:
-        cached, _problem = load_census_cache(cache_path)
     if counter is None:
         counter = CensusCounter(ceiling=ceiling)
-    records: dict[int, int] = {}
-    for n in range(1, max_n + 1):
-        if n in cached:
-            records[n] = cached[n]
-        else:
-            records[n] = counter.count(n)
-    if cache_path is not None:
-        merged = dict(cached)
-        merged.update(records)
-        save_census_cache(cache_path, merged)
-    return CensusTable(records=records, max_n=max_n)
+    counter.count(max_n)  # counts every length through max_n, if not yet counted
+    counts = counter._counts
+    return CensusTable(records={n: counts[n] for n in range(1, max_n + 1)}, max_n=max_n)

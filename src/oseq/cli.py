@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ from .census import (
     build_census,
     count_osequences,
     enumerate_osequences,
-    load_census_cache,
 )
 from .errors import EnumerationCapError, ResourceLimitError, TheoremViolationError
 from .macaulay import HVector, is_o_sequence
@@ -35,8 +33,6 @@ EXIT_INVALID = 1
 EXIT_RESOURCE = 2
 EXIT_INTERNAL = 3
 
-CACHE_ENV_VAR = "OSEQ_CACHE"
-
 
 @dataclass
 class RunConfig:
@@ -45,7 +41,6 @@ class RunConfig:
     n: int | None = None
     max_n: int | None = None
     sequence: tuple[int, ...] | None = None
-    cache_path: str | None = None
     stream_cap: int = DEFAULT_STREAM_CAP
     census_ceiling: int = DEFAULT_CENSUS_CEILING
     log_space: bool = False
@@ -75,14 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
             dest="fmt",
         )
 
-    def add_cache(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--cache",
-            dest="cache_path",
-            metavar="PATH",
-            help=f"census cache file (default: ${CACHE_ENV_VAR} if set)",
-        )
-
     def add_cap(p: argparse.ArgumentParser, what: str) -> None:
         p.add_argument("--cap", type=int, metavar="K", help=what)
 
@@ -103,13 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="counts for every length up to max-n")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     add_format(p)
-    add_cache(p)
     add_cap(p, "census length ceiling")
 
     p = sub.add_parser("bounds", help="verify both count bounds up to max-n")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     add_format(p)
-    add_cache(p)
     add_cap(p, "census length ceiling")
 
     p = sub.add_parser("partitions", help="exact p/q table up to max-n")
@@ -134,10 +119,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     config.max_n = getattr(args, "max_n", None)
     config.sequence = getattr(args, "sequence", None)
     config.log_space = getattr(args, "log_space", False)
-    cache = getattr(args, "cache_path", None)
-    if cache is None:
-        cache = os.environ.get(CACHE_ENV_VAR) or None
-    config.cache_path = cache
     cap = getattr(args, "cap", None)
     if cap is not None:
         if args.command == "enumerate":
@@ -161,11 +142,6 @@ def _csv_text(write_rows) -> str:
     buf = io.StringIO()
     write_rows(buf)
     return buf.getvalue()
-
-
-def _warn_cache(problem: str | None) -> None:
-    if problem:
-        print(f"warning: {problem}; rebuilding", file=sys.stderr)
 
 
 def _run_check(config: RunConfig) -> int:
@@ -221,11 +197,7 @@ def _run_enumerate(config: RunConfig) -> int:
 
 
 def _run_census(config: RunConfig) -> int:
-    if config.cache_path is not None:
-        _warn_cache(load_census_cache(config.cache_path)[1])
-    table = build_census(
-        config.max_n, ceiling=config.census_ceiling, cache_path=config.cache_path
-    )
+    table = build_census(config.max_n, ceiling=config.census_ceiling)
     if config.fmt == "json":
         records = [{"n": n, "L": str(table.records[n])} for n in range(1, table.max_n + 1)]
         _emit_json({"max_n": table.max_n, "records": records})
@@ -244,11 +216,7 @@ def _run_census(config: RunConfig) -> int:
 
 
 def _run_bounds(config: RunConfig) -> int:
-    if config.cache_path is not None:
-        _warn_cache(load_census_cache(config.cache_path)[1])
-    census = build_census(
-        config.max_n, ceiling=config.census_ceiling, cache_path=config.cache_path
-    )
+    census = build_census(config.max_n, ceiling=config.census_ceiling)
     partitions = build_partition_table(config.max_n)
     report = build_bounds_report(census, partitions)
     if config.fmt == "json":

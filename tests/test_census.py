@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -13,9 +14,8 @@ from oseq.census import (
     build_census,
     count_osequences,
     enumerate_osequences,
-    load_census_cache,
-    save_census_cache,
 )
+from oseq.cli import main
 from oseq.errors import EnumerationCapError, ResourceLimitError
 from oseq.macaulay import HVector, is_o_sequence
 
@@ -67,17 +67,26 @@ def test_counter_ceiling():
         CensusCounter(ceiling=0)
 
 
+# Recorded from the memoized recursive counter that preceded the layered DP.
+GOLDEN_L_1_TO_200_SHA256 = "c1e94ba988423d137d8f243fa383b88aa5e0fa8de20110f04b72b4feb295f423"
+GOLDEN_L = {100: 7130804911, 200: 1975618316572817}
+
+
+def test_census_goldens_through_200():
+    table = build_census(200)
+    digits = ",".join(str(table.records[n]) for n in range(1, 201))
+    assert hashlib.sha256(digits.encode()).hexdigest() == GOLDEN_L_1_TO_200_SHA256
+    for n, value in GOLDEN_L.items():
+        assert table.records[n] == value
+    counter = CensusCounter()
+    for n in (200, 7, 150, 1):
+        assert counter.count(n) == table.records[n], n
+
+
 def test_brute_force_hard_cap():
     with pytest.raises(ResourceLimitError):
         brute_force_count(17)
     assert brute_force_count(17, hard_cap=17) > 0
-
-
-def test_memo_eviction_changes_nothing():
-    tight = CensusCounter(ceiling=60, memo_limit=10)
-    loose = CensusCounter(ceiling=60)
-    for n in range(1, 26):
-        assert tight.count(n) == loose.count(n)
 
 
 def test_enumerate_smallest_cases():
@@ -146,22 +155,32 @@ def test_census_table_shape(census_table):
     assert sorted(census_table.records) == list(range(1, 61))
 
 
+def test_build_census_without_cache_matches(census_table):
+    table = build_census(10)
+    assert all(table.count(n) == census_table.count(n) for n in range(1, 11))
+
+
 # ---------------------------------------------------------------------------
-# cache file handling
+# a census file left by an older version is never read: the census is
+# always recounted, whatever OSEQ_CACHE names
 
 
-def test_cache_roundtrip(tmp_path):
-    path = tmp_path / "census.json"
-    save_census_cache(path, {3: 2, 12: 82, 40: 10**30})
-    values, problem = load_census_cache(path)
-    assert problem is None
-    assert values == {3: 2, 12: 82, 40: 10**30}
+def census_csv_with_leftover_cache(capsys, monkeypatch, path, max_n: int) -> str:
+    monkeypatch.setenv("OSEQ_CACHE", str(path))
+    code = main(["census", "--max-n", str(max_n), "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    return captured.out
 
 
-def test_cache_missing_file_is_fine(tmp_path):
-    values, problem = load_census_cache(tmp_path / "absent.json")
-    assert values == {}
-    assert problem is None
+def expected_csv(max_n: int) -> str:
+    return "n,L\n" + "".join(f"{n},{KNOWN_COUNTS[n - 1]}\n" for n in range(1, max_n + 1))
+
+
+def test_cache_missing_file_is_fine(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "absent.json"
+    assert census_csv_with_leftover_cache(capsys, monkeypatch, path, 8) == expected_csv(8)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -175,43 +194,17 @@ def test_cache_missing_file_is_fine(tmp_path):
         json.dumps({"format": "oseq-census", "version": 1, "values": ["3", "2"]}),
     ],
 )
-def test_cache_rejects_malformed_content(tmp_path, text):
+def test_cache_rejects_malformed_content(capsys, monkeypatch, tmp_path, text):
     path = tmp_path / "census.json"
     path.write_text(text, encoding="utf-8")
-    values, problem = load_census_cache(path)
-    assert values == {}
-    assert problem is not None
+    assert census_csv_with_leftover_cache(capsys, monkeypatch, path, 12) == expected_csv(12)
+    assert path.read_text(encoding="utf-8") == text
 
 
-def test_build_census_writes_and_reuses_cache(tmp_path):
-    path = tmp_path / "census.json"
-    table = build_census(8, cache_path=path)
-    assert [table.count(n) for n in range(1, 9)] == KNOWN_COUNTS[:8]
-    values, problem = load_census_cache(path)
-    assert problem is None
-    assert values[8] == KNOWN_COUNTS[7]
-
-    # cached values are trusted as-is, so a planted value proves reuse
-    save_census_cache(path, {5: 999, 50: 123})
-    table = build_census(5, cache_path=path)
-    assert table.count(5) == 999
-    assert table.count(4) == KNOWN_COUNTS[3]
-
-    # rewriting the cache keeps entries beyond the requested range
-    values, _ = load_census_cache(path)
-    assert values[50] == 123
-
-
-def test_build_census_survives_corrupt_cache(tmp_path):
+def test_build_census_survives_corrupt_cache(capsys, monkeypatch, tmp_path):
     path = tmp_path / "census.json"
     path.write_text("garbage", encoding="utf-8")
-    table = build_census(6, cache_path=path)
+    assert census_csv_with_leftover_cache(capsys, monkeypatch, path, 6) == expected_csv(6)
+    assert path.read_text(encoding="utf-8") == "garbage"
+    table = build_census(6)
     assert [table.count(n) for n in range(1, 7)] == KNOWN_COUNTS[:6]
-    values, problem = load_census_cache(path)
-    assert problem is None
-    assert values[6] == KNOWN_COUNTS[5]
-
-
-def test_build_census_without_cache_matches(census_table):
-    table = build_census(10)
-    assert all(table.count(n) == census_table.count(n) for n in range(1, 11))

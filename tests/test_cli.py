@@ -11,15 +11,9 @@ import json
 import jsonschema
 import pytest
 
-from oseq.cli import CACHE_ENV_VAR, main
-from oseq.census import load_census_cache, save_census_cache
+from oseq.cli import main
 
 KNOWN_COUNTS = [1, 1, 2, 3, 5, 8, 12, 18, 27, 40, 57, 82]
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache_env(monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
 
 
 def run_cli(capsys, *argv: str):
@@ -153,63 +147,31 @@ def test_census_cap_refusal(capsys):
     assert "ceiling" in err
 
 
-def test_census_cache_cold_then_warm(capsys, tmp_path, schema_dir):
+def test_census_ignores_planted_cache_file(capsys, tmp_path, monkeypatch):
+    # the census is always recounted: neither an option nor the former
+    # environment variable can feed it stored values
     path = tmp_path / "cache.json"
-    code, cold, err = run_cli(
-        capsys, "census", "--max-n", "10", "--cache", str(path), "--format", "json"
-    )
-    assert code == 0 and err == ""
-    assert path.is_file()
-    values, problem = load_census_cache(path)
-    assert problem is None and values[10] == KNOWN_COUNTS[9]
-
-    code, warm, err = run_cli(
-        capsys, "census", "--max-n", "10", "--cache", str(path), "--format", "json"
-    )
-    assert code == 0 and err == ""
-    code, bare, _ = run_cli(capsys, "census", "--max-n", "10", "--format", "json")
+    path.write_text('{"format": "oseq-census", "version": 1, "values": {"3": "777"}}')
+    monkeypatch.setenv("OSEQ_CACHE", str(path))
+    code, out, _ = run_cli(capsys, "census", "--max-n", "3", "--format", "csv")
     assert code == 0
-    assert cold == warm == bare
-    check_json(schema_dir, "census", warm)
-
-
-def test_census_corrupt_cache_warns_and_rebuilds(capsys, tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text("{broken", encoding="utf-8")
-    code, out, err = run_cli(
-        capsys, "census", "--max-n", "5", "--cache", str(path), "--format", "csv"
-    )
-    assert code == 0
-    assert "warning" in err and "rebuilding" in err
-    assert out == "n,L\n1,1\n2,1\n3,2\n4,3\n5,5\n"
-    values, problem = load_census_cache(path)
-    assert problem is None and values[5] == 5
+    assert out == "n,L\n1,1\n2,1\n3,2\n"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["census", "--max-n", "3", "--cache", str(path)])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
 
 
 def test_census_cache_env_var(capsys, tmp_path, monkeypatch):
+    # the former cache variable neither changes the output nor writes a file
+    code, bare, _ = run_cli(capsys, "census", "--max-n", "6", "--format", "json")
+    assert code == 0
     path = tmp_path / "from-env.json"
-    monkeypatch.setenv(CACHE_ENV_VAR, str(path))
-    code, _, _ = run_cli(capsys, "census", "--max-n", "6", "--format", "json")
-    assert code == 0
-    assert path.is_file()
-
-    # an explicit --cache wins over the environment
-    override = tmp_path / "explicit.json"
-    code, _, _ = run_cli(
-        capsys, "census", "--max-n", "4", "--cache", str(override), "--format", "json"
-    )
-    assert code == 0
-    assert override.is_file()
-
-
-def test_census_planted_cache_value_is_reused(capsys, tmp_path):
-    path = tmp_path / "cache.json"
-    save_census_cache(path, {3: 777})
-    code, out, _ = run_cli(
-        capsys, "census", "--max-n", "3", "--cache", str(path), "--format", "csv"
-    )
-    assert code == 0
-    assert out.splitlines()[-1] == "3,777"
+    monkeypatch.setenv("OSEQ_CACHE", str(path))
+    code, with_env, err = run_cli(capsys, "census", "--max-n", "6", "--format", "json")
+    assert code == 0 and err == ""
+    assert with_env == bare
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +201,6 @@ def test_bounds_table_envelope_line(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--max-n", "10")
     assert code == 0
     assert "empirical envelope" in out.splitlines()[-1]
-
-
-def test_bounds_uses_cache(capsys, tmp_path):
-    path = tmp_path / "cache.json"
-    code, direct, _ = run_cli(capsys, "bounds", "--max-n", "12", "--format", "json")
-    assert code == 0
-    code, cached, err = run_cli(
-        capsys, "bounds", "--max-n", "12", "--cache", str(path), "--format", "json"
-    )
-    assert code == 0 and err == ""
-    assert path.is_file()
-    assert direct == cached
 
 
 # ---------------------------------------------------------------------------

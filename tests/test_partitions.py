@@ -184,6 +184,18 @@ def test_bounded_counter_growth_order_independent():
     assert big_first == (small_first[1], small_first[0])
 
 
+def test_bounded_counter_grows_each_dimension_alone():
+    grown = BoundedPartitionCounter()
+    grown.count(10, 3)
+    grown.count(80, 3)  # more totals, same parts
+    grown.count(80, 40)  # more parts, same totals
+    fresh = BoundedPartitionCounter()
+    for total in range(81):
+        for max_part in range(41):
+            expected = fresh.count(total, max_part)
+            assert grown.count(total, max_part) == expected, (total, max_part)
+
+
 def test_write_csv_exact_output():
     table = build_partition_table(3)
     stream = io.StringIO()
