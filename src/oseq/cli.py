@@ -234,6 +234,17 @@ def _run_bounds(config: RunConfig) -> int:
 
 
 def _run_partitions(config: RunConfig) -> int:
+    # The estimate grows with n, so if it fits at max_n it fits for every
+    # row: check it before the table is built rather than after.
+    try:
+        hardy_ramanujan(config.max_n, log_space=config.log_space)
+    except OverflowError:
+        print(
+            f"error: the estimate for n={config.max_n} exceeds double range; "
+            "use --log-space",
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE
     table = build_partition_table(config.max_n)
     estimates = {
         n: hardy_ramanujan(n, table=table, log_space=config.log_space)

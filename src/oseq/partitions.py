@@ -1,9 +1,11 @@
 """Exact integer partition counting and the Hardy-Ramanujan estimate.
 
 p(n) counts all partitions of n, q(n) the partitions into distinct parts.
-Tables are exact big integers; the asymptotic estimate is the only place
-floating point appears, and it offers a log-space mode so the pipeline
-stays total when e^(pi*sqrt(2n/3)) would overflow a double.
+Tables are exact big integers: p comes from Euler's pentagonal-number
+recurrence and q from p through the same pentagonal numbers, both in
+O(n^1.5). The asymptotic estimate is the only place floating point appears,
+and it offers a log-space mode so the pipeline stays total when
+e^(pi*sqrt(2n/3)) would overflow a double.
 """
 
 from __future__ import annotations
@@ -51,11 +53,38 @@ class PartitionTable:
             writer.writerow([n, str(self.p_values[n]), str(self.q_values[n])])
 
 
-def build_partition_table(limit: int, max_limit: int = DEFAULT_TABLE_LIMIT) -> PartitionTable:
-    """Tabulate p and q up to ``limit``.
+def _pentagonal_sum(
+    padded: list[int],
+    i: int,
+    n: int,
+    plus: list[tuple[int, int]],
+    minus: list[tuple[int, int]],
+) -> int:
+    """Sum of padded[i - a] + padded[i - b] over the pairs (a, b) of ``plus``
+    with a <= n, less the same sum over ``minus``; both lists ascend in a."""
+    total = 0
+    for a, b in plus:
+        if a > n:
+            break
+        total += padded[i - a] + padded[i - b]
+    for a, b in minus:
+        if a > n:
+            break
+        total -= padded[i - a] + padded[i - b]
+    return total
 
-    p uses Euler's pentagonal-number recurrence, q the parts-distinct
-    dynamic program. Refuses limits above ``max_limit``.
+
+def build_partition_table(limit: int, max_limit: int = DEFAULT_TABLE_LIMIT) -> PartitionTable:
+    """Tabulate p and q up to ``limit`` in O(limit^1.5) big-integer additions.
+
+    p uses Euler's pentagonal-number recurrence. q comes from p through the
+    product identity prod(1 + x^k) = P(x) * E(x^2), where P is the
+    generating function of p and E(x) = prod(1 - x^k) = sum over all
+    integers k of (-1)^k x^(k(3k-1)/2), so
+
+        q(n) = p(n) + sum_{k>=1} (-1)^k [p(n - k(3k-1)) + p(n - k(3k+1))].
+
+    Refuses limits above ``max_limit``.
     """
     if limit < 0:
         raise ValueError(f"table limit must be >= 0, got {limit}")
@@ -64,29 +93,32 @@ def build_partition_table(limit: int, max_limit: int = DEFAULT_TABLE_LIMIT) -> P
             f"partition table limit {limit} exceeds the configured maximum {max_limit}"
         )
 
-    p = [0] * (limit + 1)
-    p[0] = 1
-    for n in range(1, limit + 1):
-        total = 0
-        k = 1
-        while True:
-            g = k * (3 * k - 1) // 2
-            if g > n:
-                break
-            term = p[n - g]
-            g2 = g + k  # k*(3k+1)/2, the paired pentagonal number
-            if g2 <= n:
-                term += p[n - g2]
-            total += term if k % 2 == 1 else -term
-            k += 1
-        p[n] = total
+    # Generalised pentagonal pairs (k(3k-1)/2, k(3k+1)/2) for k >= 1, split by
+    # the parity of k: odd k adds to p(n), even k subtracts.
+    odd_pairs: list[tuple[int, int]] = []
+    even_pairs: list[tuple[int, int]] = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= limit:
+        g = k * (3 * k - 1) // 2
+        (odd_pairs if k % 2 else even_pairs).append((g, g + k))
+        k += 1
 
-    # q via the 0/1 knapsack over parts: descending inner loop uses each part once.
-    q = [0] * (limit + 1)
-    q[0] = 1
-    for part in range(1, limit + 1):
-        for s in range(limit, part - 1, -1):
-            q[s] += q[s - part]
+    # padded[pad + n] = p(n) behind `pad` zeros, so a pair whose first offset
+    # fits reads 0 for its second one instead of testing it (in both passes).
+    pad = 2 * k
+    padded = [0] * (pad + limit + 1)
+    padded[pad] = 1
+    for n in range(1, limit + 1):
+        padded[pad + n] = _pentagonal_sum(padded, pad + n, n, odd_pairs, even_pairs)
+    p = padded[pad:]
+
+    # The E(x^2) factor: doubled offsets, and odd k now subtracts.
+    odd_doubled = [(2 * g, 2 * g2) for g, g2 in odd_pairs]
+    even_doubled = [(2 * g, 2 * g2) for g, g2 in even_pairs]
+    q = [
+        p[n] + _pentagonal_sum(padded, pad + n, n, even_doubled, odd_doubled)
+        for n in range(limit + 1)
+    ]
 
     return PartitionTable(limit=limit, p_values=tuple(p), q_values=tuple(q))
 

@@ -242,6 +242,17 @@ def test_partitions_log_space(capsys, schema_dir):
     assert math.exp(log_est) == pytest.approx(plain_est, rel=1e-12)
 
 
+def test_partitions_overflow_refused_before_the_table(capsys, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table is built before the overflow check")
+
+    monkeypatch.setattr("oseq.cli.build_partition_table", no_table)
+    code, out, err = run_cli(capsys, "partitions", "--max-n", "100000")
+    assert code == 2
+    assert out == ""
+    assert "--log-space" in err
+
+
 def test_partitions_table_smoke(capsys):
     code, out, _ = run_cli(capsys, "partitions", "--max-n", "4")
     assert code == 0

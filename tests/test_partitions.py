@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 
@@ -18,6 +19,22 @@ from oseq.partitions import (
 
 P_PREFIX = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 Q_PREFIX = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
+
+# sha256 of the comma-joined decimal values p(0..10000) and q(0..10000),
+# recorded from the earlier implementation (q by the 0/1 knapsack over parts).
+GOLDEN_P_0_TO_10000_SHA256 = "47bcead18dd7cb418228880c94df90188ffd68dc3240ee0fafa729d83b20ad62"
+GOLDEN_Q_0_TO_10000_SHA256 = "20b21c1bf2913476cd55989237475971f9afad67fdfc39c112c54469160bcf63"
+GOLDEN_P_10000 = int(
+    "36167251325636293988820471890953695495016030339315650422081868605887952568754066420592310556052906916435144"
+)
+GOLDEN_Q_10000 = int(
+    "1122606574548038398976040173670530159089991444775125551802871247408332723840"
+)
+
+
+@pytest.fixture(scope="module")
+def table_10000():
+    return build_partition_table(10000)
 
 
 def naive_partition_counts(limit: int) -> list[int]:
@@ -68,6 +85,23 @@ def test_q_matches_odd_parts_identity(partition_table):
     assert [partition_table.q(n) for n in range(301)] == oracle
 
 
+def test_q_matches_odd_parts_identity_through_2000(table_10000):
+    # q is derived from p, so this oracle, which shares no code with p,
+    # also guards q against a fault in the p recurrence.
+    assert list(table_10000.q_values[:2001]) == odd_part_counts(2000)
+
+
+def test_partition_goldens_through_10000(table_10000):
+    for values, digest in (
+        (table_10000.p_values, GOLDEN_P_0_TO_10000_SHA256),
+        (table_10000.q_values, GOLDEN_Q_0_TO_10000_SHA256),
+    ):
+        digits = ",".join(str(v) for v in values)
+        assert hashlib.sha256(digits.encode()).hexdigest() == digest
+    assert table_10000.p(10000) == GOLDEN_P_10000
+    assert table_10000.q(10000) == GOLDEN_Q_10000
+
+
 def test_q_matches_direct_enumeration(partition_table):
     for n in range(16):
         distinct = sum(
@@ -111,6 +145,12 @@ def test_pq_strictness_pattern(partition_table):
     for check in checks:
         assert check.p_prev >= check.q_n
         assert check.strict == (check.n >= 4)
+
+
+def test_pq_strictness_pattern_through_10000(table_10000):
+    checks = check_pq_inequality(10000, table=table_10000)
+    assert len(checks) == 10000
+    assert [c.n for c in checks if not c.strict] == [1, 2, 3]
 
 
 def test_pq_check_builds_its_own_table():
