@@ -13,10 +13,8 @@ of entries in the pre-critical window.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO
 
 from .census import CensusTable
 from .errors import TheoremViolationError
@@ -35,8 +33,6 @@ __all__ = [
     "build_bounds_report",
     "staircase_decompose",
     "remark_profile",
-    "bounds_report_payload",
-    "write_bounds_csv",
 ]
 
 # The log-space upper bound is astronomically loose; this slack only absorbs
@@ -148,45 +144,6 @@ def build_bounds_report(
     c1_min = min((r.c1_emp for r in tail), default=None)
     c2_max = max((r.c2_emp for r in tail), default=None)
     return BoundsReport(records=tuple(records), c1_min=c1_min, c2_max=c2_max)
-
-
-def bounds_report_payload(report: BoundsReport) -> dict:
-    """JSON-ready form of a report; big integers become decimal strings."""
-    return {
-        "max_n": report.records[-1].n if report.records else 0,
-        "c1_min": report.c1_min,
-        "c2_max": report.c2_max,
-        "records": [
-            {
-                "n": r.n,
-                "L": str(r.count),
-                "p_lower": str(r.lower),
-                "log_upper": r.log_upper,
-                "c1_emp": r.c1_emp,
-                "c2_emp": r.c2_emp,
-                "lower_ok": r.lower_ok,
-                "upper_ok": r.upper_ok,
-            }
-            for r in report.records
-        ],
-    }
-
-
-def write_bounds_csv(report: BoundsReport, stream: IO[str]) -> None:
-    """Rows n,L,p_lower,log_upper,c1_emp,c2_emp; floats via repr, None empty."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["n", "L", "p_lower", "log_upper", "c1_emp", "c2_emp"])
-    for r in report.records:
-        writer.writerow(
-            [
-                r.n,
-                str(r.count),
-                str(r.lower),
-                repr(r.log_upper),
-                "" if r.c1_emp is None else repr(r.c1_emp),
-                "" if r.c2_emp is None else repr(r.c2_emp),
-            ]
-        )
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,9 @@ e^(pi*sqrt(2n/3)) would overflow a double.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, NamedTuple
+from typing import NamedTuple
 
 from .errors import ResourceLimitError, TheoremViolationError
 
@@ -44,13 +43,6 @@ class PartitionTable:
 
     def q(self, n: int) -> int:
         return self.q_values[n]
-
-    def write_csv(self, stream: IO[str]) -> None:
-        """Rows n,p,q with plain decimal digits (never scientific notation)."""
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["n", "p", "q"])
-        for n in range(self.limit + 1):
-            writer.writerow([n, str(self.p_values[n]), str(self.q_values[n])])
 
 
 def _pentagonal_sum(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import io
+import json
 import math
 
 import pytest
@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 from oseq.bounds import (
     BoundsReport,
     StaircaseDecomposition,
-    bounds_report_payload,
     build_bounds_report,
     check_prefix_bound,
     critical_index,
     remark_profile,
     staircase_decompose,
     verify_tail_partition,
-    write_bounds_csv,
 )
 from oseq.census import CensusTable, build_census, enumerate_osequences
+from oseq.cli import main
 from oseq.errors import TheoremViolationError
 from oseq.macaulay import HVector
 
@@ -171,9 +170,9 @@ def test_bounds_report_rejects_planted_violation(partition_table):
         build_bounds_report(fake, partition_table)
 
 
-def test_bounds_payload_shape(partition_table):
-    census = build_census(10)
-    payload = bounds_report_payload(build_bounds_report(census, partition_table))
+def test_bounds_payload_shape(capsys):
+    assert main(["bounds", "--max-n", "10", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["max_n"] == 10
     assert len(payload["records"]) == 10
     rec = payload["records"][4]
@@ -185,11 +184,9 @@ def test_bounds_payload_shape(partition_table):
     assert payload["records"][0]["c2_emp"] is None
 
 
-def test_bounds_csv_shape(partition_table):
-    census = build_census(4)
-    stream = io.StringIO()
-    write_bounds_csv(build_bounds_report(census, partition_table), stream)
-    lines = stream.getvalue().splitlines()
+def test_bounds_csv_shape(capsys):
+    assert main(["bounds", "--max-n", "4", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n,L,p_lower,log_upper,c1_emp,c2_emp"
     assert len(lines) == 5
     first = lines[1].split(",")

@@ -6,12 +6,17 @@ subcommand, and the machine formats are checked for byte determinism.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import sys
 
 import jsonschema
 import pytest
 
 from oseq.cli import main
+from oseq.macaulay import HVector
+from oseq.partitions import build_partition_table
 
 KNOWN_COUNTS = [1, 1, 2, 3, 5, 8, 12, 18, 27, 40, 57, 82]
 
@@ -114,6 +119,30 @@ def test_enumerate_table(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4")
     assert code == 0
     assert out == "1,1,1,1\n1,2,1\n1,3\n"
+
+
+def test_enumerate_streams_before_the_last_sequence(monkeypatch):
+    total = 10_000
+    pulled = []
+
+    def many(n, **kwargs):
+        for i in range(total):
+            pulled.append(i)
+            yield HVector((1, n - 1))
+
+    writes = []
+
+    class Spy(io.StringIO):
+        def write(self, text):
+            writes.append(len(pulled))
+            return super().write(text)
+
+    spy = Spy()
+    monkeypatch.setattr("oseq.cli.enumerate_osequences", many)
+    monkeypatch.setattr(sys, "stdout", spy)
+    assert main(["enumerate", "--n", "3"]) == 0
+    assert writes and writes[0] < total
+    assert spy.getvalue() == "1,2\n" * total
 
 
 def test_enumerate_cap_refusal(capsys):
@@ -253,6 +282,19 @@ def test_partitions_overflow_refused_before_the_table(capsys, monkeypatch):
     assert "--log-space" in err
 
 
+def test_partitions_csv_needs_no_estimate(capsys, monkeypatch):
+    # csv prints n,p,q only, so an estimate that would overflow is no reason
+    # to refuse; the stub table keeps the run small
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("csv computed the estimate")
+
+    monkeypatch.setattr("oseq.cli.hardy_ramanujan", no_estimate)
+    monkeypatch.setattr("oseq.cli.build_partition_table", lambda n: build_partition_table(3))
+    code, out, err = run_cli(capsys, "partitions", "--max-n", "79446", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == "n,p,q\n0,1,1\n1,1,1\n2,2,1\n3,3,2\n"
+
+
 def test_partitions_table_smoke(capsys):
     code, out, _ = run_cli(capsys, "partitions", "--max-n", "4")
     assert code == 0
@@ -291,6 +333,50 @@ def test_remark_csv(capsys):
     code, out, _ = run_cli(capsys, "remark", "1,3,4,4", "--format", "csv")
     assert code == 0
     assert out == "degree,in_range,t,alpha\n1,false,,\n2,true,0,1\n3,true,0,0\n"
+
+
+# ---------------------------------------------------------------------------
+# every subcommand in every format, byte for byte
+
+
+# (argv, exit code, sha256 of stdout), recorded from the per-runner writers
+# that preceded the shared renderer
+PINNED_OUTPUTS = [
+    ("check 1,1,2 --format table", 1, "1dbd6bd31517f695bff28bac9fd9a7be32a45895c0211c2c92bbea297d5a1903"),
+    ("check 1,1,2 --format csv", 1, "19e9e3cbef7d508f6d00a177b47bd9e773a06cf909d3410b0285478de56b8fef"),
+    ("check 1,1,2 --format json", 1, "174f09ca3761e5f0c76d6883334fefaf6be3fec57b36a285e41407693a1d7451"),
+    ("count --n 6 --format table", 0, "bb13725ab50d21fab38d02add6344e921b3af5b2152ad74cd481c28ed9bc5808"),
+    ("count --n 6 --format csv", 0, "8b4fc734f9ff2351b9c27cff7a89cabf09413080b76c9a4cc9095b33ceff9414"),
+    ("count --n 6 --format json", 0, "1e51a4aa7660198ab191793a08e3554eaae3d2a5e3210046f5af7135f49d4e90"),
+    ("enumerate --n 5 --format table", 0, "0e4167ffe836356b1c28bd39f420d88868f409f2970f9ad521984279cb37a08c"),
+    ("enumerate --n 5 --format csv", 0, "0a4ffc31048c1fc01004ef82493fd24087c00570048fc11979ad88a9edb50e77"),
+    ("enumerate --n 5 --format json", 0, "254d4f36ad5780ec76c2b1e49e088136b1dd33aa2874c8acbdaed5b3ee80a5ce"),
+    ("census --max-n 12 --format table", 0, "0338ce6550e7a136c22fe2df41f0442b72b972b858c7dd896e6553a6d9dc0cbd"),
+    ("census --max-n 12 --format csv", 0, "edb302ba60935432adf9742d027a13a3c03433045b5f710dfb00a27f62f310b8"),
+    ("census --max-n 12 --format json", 0, "3b6c09901aac748f2bcc56e5a0b0f3482e6adf89c7b4b87a4c043aecc826fc7a"),
+    ("bounds --max-n 12 --format table", 0, "5bbf3debf92981359c68bc179d546e6b9f2e8e00c8b12e95e6b89b92862e238f"),
+    ("bounds --max-n 12 --format csv", 0, "5b28f36a1471bed245df4cca876e496e717cb8c496c664a98e367915c9bfa5c3"),
+    ("bounds --max-n 12 --format json", 0, "e00ab51047c414628e58d8c84057d182513af8dffb8e23a29bb7870ca92d00c6"),
+    ("partitions --max-n 12 --format table", 0, "7a74f51c4e583f6c9d6e81cdf7027c78c3232a640d04e2d526470b867153e630"),
+    ("partitions --max-n 12 --format csv", 0, "d61a588e13e65b23e4147ca471c66f2cda9bdc4257948b3de1d8136c86a286d5"),
+    ("partitions --max-n 12 --format json", 0, "582408293afb9a7a2834263283899db444cdb5dafd88e9159b00be0f00589f72"),
+    ("partitions --max-n 12 --log-space --format table", 0, "25949d0b2d9b5542922ed827da41fd750e9596bd2514786a4b6ada1a414ddbdf"),
+    ("partitions --max-n 12 --log-space --format csv", 0, "d61a588e13e65b23e4147ca471c66f2cda9bdc4257948b3de1d8136c86a286d5"),
+    ("partitions --max-n 12 --log-space --format json", 0, "82bff1cec3da4216459dd8e6e027b71e71ae1d8b9f82a671a53ef8bfc110947f"),
+    ("remark 1,3,6,10,15,21,7,3 --format table", 0, "fd5bccf6c654263855f94305b7340e4de2575856aa961ec25156afe7364b5937"),
+    ("remark 1,3,6,10,15,21,7,3 --format csv", 0, "75b885f1fe4f538ad8aaf9ab0565f1cc58377b1bc0fbcd82a4731027cefe1e6b"),
+    ("remark 1,3,6,10,15,21,7,3 --format json", 0, "13934eeaf5aafd0b558647b7e8fb46787a68e066519dfa25ed22ee781fb89ef1"),
+    ("remark 1,1,2 --format table", 1, "ec12b8de25f848ce55e25d4edc0a3a2428bb36c59c0c2cb6c72bc9d0954c529a"),
+    ("remark 1,1,2 --format csv", 1, "ec12b8de25f848ce55e25d4edc0a3a2428bb36c59c0c2cb6c72bc9d0954c529a"),
+    ("remark 1,1,2 --format json", 1, "ec12b8de25f848ce55e25d4edc0a3a2428bb36c59c0c2cb6c72bc9d0954c529a"),
+]
+
+
+@pytest.mark.parametrize(("argv", "code", "digest"), PINNED_OUTPUTS)
+def test_every_output_is_pinned(capsys, argv, code, digest):
+    got_code, out, err = run_cli(capsys, *argv.split())
+    assert (got_code, err) == (code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

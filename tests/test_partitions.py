@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 
 import pytest
 
+from oseq.cli import main
 from oseq.errors import ResourceLimitError, TheoremViolationError
 from oseq.partitions import (
     DEFAULT_TABLE_LIMIT,
@@ -236,11 +236,9 @@ def test_bounded_counter_grows_each_dimension_alone():
             assert grown.count(total, max_part) == expected, (total, max_part)
 
 
-def test_write_csv_exact_output():
-    table = build_partition_table(3)
-    stream = io.StringIO()
-    table.write_csv(stream)
-    assert stream.getvalue() == "n,p,q\n0,1,1\n1,1,1\n2,2,1\n3,3,2\n"
+def test_write_csv_exact_output(capsys):
+    assert main(["partitions", "--max-n", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "n,p,q\n0,1,1\n1,1,1\n2,2,1\n3,3,2\n"
 
 
 def test_pq_guard_trips_on_corrupt_table(partition_table):
