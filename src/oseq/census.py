@@ -5,18 +5,19 @@ entries >= 1, summing to n, that satisfy the growth condition.
 
 The counter is a bottom-up dynamic program over degrees. Write F(d, x, r)
 for the number of ways to finish a sequence with h_d = x and r still to
-place, and G_d(r)[b] = sum of F(d, y, r - y) over 1 <= y <= b. Then:
+place, and G_d(r)[b] = sum of F(d, y, r - y) over 1 <= y <= b, with
+G_d(0) = [1] read as 1 at every index (nothing left to place ends the
+sequence). Then:
 
-* F(d, x, 0) = 1, and for r > 0, F(d, x, r) = G_{d+1}(r)[min(r, x^<d>)],
-  one lookup into the next layer;
+* F(d, x, r) = G_{d+1}(r)[min(r, x^<d>)], one lookup into the next layer;
 * once x <= d the growth condition stops binding (every later value is
   nonincreasing), so F(d, x, r) is the number of partitions of r into
-  parts <= x, read from the bounded-partition table;
-* L(n) = G_1(n - 1)[n - 1] for n >= 2, so one pass yields every L(1..N).
+  parts <= x, which is G_d(r)[x]: the layer's own earlier row;
+* L(n) = G_1(n - 1)[n - 1] for n >= 1, so one pass yields every L(1..N).
 
 A value h_d > d forces h_i > i for every earlier i, so the entries through
 degree d sum to at least (d + 1)(d + 2)/2. Layers therefore start at the
-smallest D with (D + 1)(D + 2)/2 > N, where only the tail regime is
+smallest D with (D + 1)(D + 2)/2 > N, where no value above the degree is
 reachable, layer d only needs r <= N - d(d + 1)/2, and only two layers are
 held at a time.
 
@@ -33,7 +34,6 @@ from typing import Iterator
 
 from .errors import EnumerationCapError, ResourceLimitError
 from .macaulay import HVector, is_o_sequence, pseudopower
-from .partitions import BoundedPartitionCounter
 
 __all__ = [
     "DEFAULT_CENSUS_CEILING",
@@ -67,7 +67,6 @@ class CensusCounter:
             raise ValueError("ceiling must be positive")
         self.ceiling = ceiling
         self._counts = [0]  # _counts[n] = L(n)
-        self._partitions = BoundedPartitionCounter()
 
     def count(self, n: int) -> int:
         if n < 0:
@@ -86,28 +85,26 @@ class CensusCounter:
         top_degree = 1
         while (top_degree + 1) * (top_degree + 2) // 2 <= limit:
             top_degree += 1
-        tail = self._partitions.rows(top_degree, limit)  # tail[y][s] = P(s, parts <= y)
         upper: list[list[int]] = []  # G_{d+1}, indexed [r][b]
         for d in range(top_degree, 0, -1):
             top = limit - d * (d + 1) // 2
-            # Growth caps of the values above the tail regime; capping at
-            # ``top`` changes no lookup, since every lookup is at most r.
+            # Growth caps of the values above the degree; capping at ``top``
+            # changes no lookup, since every lookup is at most r.
             caps = [min(top, pseudopower(y, d)) for y in range(d + 1, top + 1)]
-            layer: list[list[int]] = []
-            for r in range(top + 1):
-                terms = [tail[y][r - y] for y in range(1, min(d, r) + 1)]
-                if d < top_degree and r > d:
-                    # y runs over d+1..r-1; the final 1 is y = r, which ends the sequence.
-                    terms += [
-                        upper[r - y][min(r - y, cap)] for y, cap in zip(range(d + 1, r), caps)
-                    ]
-                    terms.append(1)
+            # Rows are padded to d + 1 entries, so row s read at y <= d is the
+            # number of partitions of s into parts <= y.
+            layer = [[1] * (d + 1)]
+            for r in range(1, top + 1):
+                terms = [layer[r - y][y] for y in range(1, min(d, r) + 1)]
+                # In the top layer r <= d, so no value above the degree is reachable.
+                terms += [
+                    upper[r - y][min(r - y, cap)] for y, cap in zip(range(d + 1, r + 1), caps)
+                ]
                 row = [0, *accumulate(terms)]
-                # In the top layer values above the degree are unreachable and score 0.
-                row += [row[-1]] * (r + 1 - len(row))
+                row += [row[-1]] * (d + 1 - len(row))
                 layer.append(row)
             upper = layer
-        return [0, 1] + [upper[n - 1][n - 1] for n in range(2, limit + 1)]
+        return [0] + [upper[n - 1][n - 1] for n in range(1, limit + 1)]
 
 
 def count_osequences(

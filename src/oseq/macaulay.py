@@ -12,7 +12,6 @@ validity decision.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -101,20 +100,21 @@ class MacaulayExpansion:
         return sum(binomial(m + 1, k + 1) for m, k in self.terms)
 
 
-# Cached rows of binomials for the greedy search: _ROWS[k][i] = C(k + i, k).
-# Rows only ever grow and their contents are deterministic, so concurrent
-# readers always observe correct values.
-_ROWS: dict[int, list[int]] = {}
-
-
 def _largest_top_index(value: int, k: int) -> int:
     """Largest m with C(m, k) <= value, for value >= 1 and k >= 1."""
     if k == 1:
         return value
-    row = _ROWS.setdefault(k, [1])
-    while row[-1] <= value:
-        row.append(binomial(k + len(row), k))
-    return k + bisect.bisect_right(row, value) - 1
+    # Gallop up from C(k, k) = 1 until C(m + step, k) > value, then halve the
+    # step back down; C(m, k) <= value holds throughout.
+    m, step = k, 1
+    while math.comb(m + step, k) <= value:
+        m += step
+        step *= 2
+    while step > 1:
+        step //= 2
+        if math.comb(m + step, k) <= value:
+            m += step
+    return m
 
 
 def macaulay_expand(a: int, d: int) -> MacaulayExpansion:

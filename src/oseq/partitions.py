@@ -200,10 +200,10 @@ class BoundedPartitionCounter:
 
     ``count(total, max_part)`` is the number of partitions of ``total``
     whose parts are all <= ``max_part`` (1 for total 0, the empty
-    partition). The table grows geometrically on demand, each dimension
-    only when a request exceeds it, by extending the existing rows in
-    place. Growth is not synchronised: share a counter between threads only
-    once it covers every request they make.
+    partition). A request outside the table rebuilds it, at least doubling
+    each dimension the request exceeds, so the work stays proportional to
+    the final table. The new table replaces the old one whole, so a shared
+    counter never exposes a partly built table.
     """
 
     def __init__(self) -> None:
@@ -218,29 +218,16 @@ class BoundedPartitionCounter:
         m = min(max_part, total)
         if m <= 0:
             return 0
-        return self.rows(m, total)[m][total]
-
-    def rows(self, max_part: int, total: int) -> list[list[int]]:
-        """The table itself, grown to cover parts <= max_part and totals <= total.
-
-        ``rows[m][t]`` is ``count(t, m)`` there. Callers only read it; a hot
-        loop reads entries directly to save a method call per entry.
-        """
         rows = self._rows
-        have_m = len(rows) - 1
-        have_t = len(rows[0]) - 1
-        if total > have_t:
-            new_t = max(total, 2 * have_t)
-            rows[0].extend([0] * (new_t - have_t))
-            for part in range(1, have_m + 1):
-                row, below = rows[part], rows[part - 1]
-                for s in range(have_t + 1, new_t + 1):
-                    row.append(below[s] + (row[s - part] if s >= part else 0))
-            have_t = new_t
-        if max_part > have_m:
-            for part in range(have_m + 1, max(max_part, 2 * have_m) + 1):
-                row = rows[part - 1][:]
-                for s in range(part, have_t + 1):
+        have_m, have_t = len(rows) - 1, len(rows[0]) - 1
+        if m > have_m or total > have_t:
+            new_m = max(m, 2 * have_m) if m > have_m else have_m
+            new_t = max(total, 2 * have_t) if total > have_t else have_t
+            rows = [[1] + [0] * new_t]
+            for part in range(1, new_m + 1):
+                row = rows[-1][:]
+                for s in range(part, new_t + 1):
                     row[s] += row[s - part]
                 rows.append(row)
-        return rows
+            self._rows = rows
+        return rows[m][total]

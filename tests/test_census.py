@@ -83,6 +83,27 @@ def test_census_goldens_through_200():
         assert counter.count(n) == table.records[n], n
 
 
+# Recorded from the layered counter whose tail regime read a separate
+# bounded-partition table. Through 300 the top degree changes at 210, 231,
+# 253, 276 and 300.
+GOLDEN_L_1_TO_300_SHA256 = "ee98270b2cf1ad43012ea3ce28c097388db4d0522e8a3ed564ff4e116e98124d"
+
+
+def test_census_goldens_through_300():
+    table = build_census(300, ceiling=300)
+    digits = ",".join(str(table.records[n]) for n in range(1, 301))
+    assert hashlib.sha256(digits.encode()).hexdigest() == GOLDEN_L_1_TO_300_SHA256
+    assert table.records[300] == 35460060249422695729
+
+
+def test_top_layer_at_every_boundary():
+    # A pass to N starts at the smallest degree D with (D + 1)(D + 2)/2 > N,
+    # so the top layer moves at every triangular N: 1, 3, 6, ..., 78 here.
+    one_pass = build_census(200)
+    for n in range(1, 81):
+        assert CensusCounter(ceiling=n).count(n) == one_pass.records[n], n
+
+
 def test_brute_force_hard_cap():
     with pytest.raises(ResourceLimitError):
         brute_force_count(17)

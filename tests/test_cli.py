@@ -9,6 +9,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import jsonschema
@@ -95,6 +98,12 @@ def test_check_table_message(capsys):
     code, out, _ = run_cli(capsys, "check", "1,1,5")
     assert code == 1
     assert "NOT" in out and "index 1" in out
+
+
+def test_check_huge_entries(capsys):
+    code, out, err = run_cli(capsys, "check", "1,60000000,1000000000000000,1")
+    assert (code, err) == (0, "")
+    assert out == "1,60000000,1000000000000000,1 is a valid O-sequence\n"
 
 
 def test_check_rejects_unparsable_sequence(capsys):
@@ -377,6 +386,20 @@ def test_every_output_is_pinned(capsys, argv, code, digest):
     got_code, out, err = run_cli(capsys, *argv.split())
     assert (got_code, err) == (code, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_remark_sweep_output_is_pinned():
+    # The sweep script is a benchmark job; its stdout was recorded from the
+    # counter whose tail regime read a separate bounded-partition table.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run(
+        [sys.executable, "scripts/remark_sweep.py", "--max-n", "12"],
+        cwd=root, env=env, capture_output=True, check=True,
+    )
+    assert hashlib.sha256(done.stdout).hexdigest() == (
+        "7ad70dc56cb0143b279bdfd7d2eadd0e137f0609f584f535ae5d604c7149548e"
+    )
 
 
 # ---------------------------------------------------------------------------

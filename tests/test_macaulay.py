@@ -97,6 +97,18 @@ def test_expand_reconstructs_input(a, d):
     assert expansion.value() == a
 
 
+@pytest.mark.parametrize("d", [2, 3, 7])
+@pytest.mark.parametrize("a", [10**15, 10**40])
+def test_expand_huge_values(a, d):
+    expansion = macaulay_expand(a, d)
+    _assert_well_formed(expansion)
+    assert expansion.value() == a
+    rem = a
+    for m, k in expansion.terms:
+        assert binomial(m, k) <= rem < binomial(m + 1, k), (m, k)
+        rem -= binomial(m, k)
+
+
 def all_expansions(d: int, limit: int) -> list[tuple[tuple[int, int], ...]]:
     """Every well-formed expansion at top degree d whose value is <= limit."""
     found: list[tuple[tuple[int, int], ...]] = []

@@ -236,6 +236,11 @@ def test_bounded_counter_grows_each_dimension_alone():
             assert grown.count(total, max_part) == expected, (total, max_part)
 
 
+def test_bounded_counter_large_total():
+    # Partitions into parts <= 3: the nearest integer to (n + 3)^2 / 12.
+    assert BoundedPartitionCounter().count(20000, 3) == round((20000 + 3) ** 2 / 12)
+
+
 def test_write_csv_exact_output(capsys):
     assert main(["partitions", "--max-n", "3", "--format", "csv"]) == 0
     assert capsys.readouterr().out == "n,p,q\n0,1,1\n1,1,1\n2,2,1\n3,3,2\n"
