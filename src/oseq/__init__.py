@@ -32,7 +32,6 @@ from .macaulay import (
 )
 from .partitions import (
     AsymptoticEstimate,
-    BoundedPartitionCounter,
     PartitionTable,
     PQCheck,
     build_partition_table,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticEstimate",
-    "BoundedPartitionCounter",
     "BoundsRecord",
     "BoundsReport",
     "CensusCounter",

@@ -92,18 +92,14 @@ class BoundsReport:
     c2_max: float | None
 
 
-def build_bounds_report(
-    census: CensusTable,
-    partitions: PartitionTable,
-    slack: float = UPPER_BOUND_RELATIVE_SLACK,
-) -> BoundsReport:
+def build_bounds_report(census: CensusTable, partitions: PartitionTable) -> BoundsReport:
     """Check both bounds for every n covered by census and partition tables.
 
     The lower bound is compared exactly on big integers. The upper bound is
     compared in log space: math.log of a big integer keeps the full
-    magnitude (digit count plus refined mantissa), and ``slack`` is relative
-    to the bound. The empirical constant envelopes are taken over n >= 3,
-    where the count first exceeds 1.
+    magnitude (digit count plus refined mantissa), and
+    ``UPPER_BOUND_RELATIVE_SLACK`` is relative to the bound. The empirical
+    constant envelopes are taken over n >= 3, where the count first exceeds 1.
     """
     max_n = min(census.max_n, partitions.limit)
     if max_n < 1:
@@ -116,7 +112,7 @@ def build_bounds_report(
         root = math.sqrt(2.0 * n)
         log_upper = math.log(root) + math.log(partitions.p_values[n]) + root * math.log(n)
         lower_ok = lower <= count
-        upper_ok = log_count <= log_upper + slack * abs(log_upper)
+        upper_ok = log_count <= log_upper + UPPER_BOUND_RELATIVE_SLACK * abs(log_upper)
         if not lower_ok:
             raise TheoremViolationError(
                 f"lower bound p(n-1) <= count failed at n={n}: {lower} > {count}", n=n

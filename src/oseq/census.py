@@ -107,51 +107,58 @@ class CensusCounter:
         return [0] + [upper[n - 1][n - 1] for n in range(1, limit + 1)]
 
 
-def count_osequences(
-    n: int,
-    ceiling: int = DEFAULT_CENSUS_CEILING,
-    counter: CensusCounter | None = None,
-) -> int:
-    """Exact number of O-sequences of length n."""
-    if counter is None:
-        counter = CensusCounter(ceiling=ceiling)
-    return counter.count(n)
+def count_osequences(n: int, ceiling: int = DEFAULT_CENSUS_CEILING) -> int:
+    """Exact number of O-sequences of length n, refused above ``ceiling``."""
+    return CensusCounter(ceiling=ceiling).count(n)
 
 
 def enumerate_osequences(
     n: int,
     cap: int = DEFAULT_STREAM_CAP,
     counter: CensusCounter | None = None,
-    ceiling: int = DEFAULT_CENSUS_CEILING,
 ) -> Iterator[HVector]:
     """Yield every O-sequence of length n, in lexicographic entry order.
 
-    The exact count is computed first; if it exceeds ``cap`` the stream is
-    refused with an EnumerationCapError carrying the count. No sequence of
-    a fixed length is a prefix of another, so ascending choice of each next
-    entry yields plain lexicographic order.
+    The exact count is computed first, by ``counter`` (a fresh counter with
+    the default ceiling when none is given); if it exceeds ``cap`` the
+    stream is refused with an EnumerationCapError carrying the count. No
+    sequence of a fixed length is a prefix of another, so ascending choice
+    of each next entry yields plain lexicographic order.
     """
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
     if cap < 1:
         raise ValueError("cap must be positive")
     if counter is None:
-        counter = CensusCounter(ceiling=ceiling)
+        counter = CensusCounter()
     total = counter.count(n)
     if total > cap:
         raise EnumerationCapError(n=n, count=total, cap=cap)
 
-    def walk(prefix: list[int], degree: int, last: int, remaining: int) -> Iterator[HVector]:
-        if remaining == 0:
+    def walk() -> Iterator[HVector]:
+        # Explicit stack, so no length hits the recursion limit. bounds[i] is
+        # the largest value allowed for prefix[i + 1]; every value from 1 up to
+        # it can be completed (x^<d> >= x), so each step down takes 1 and a
+        # sequence is complete exactly when nothing remains to place.
+        prefix, bounds, remaining = [1], [], n - 1
+        while True:
+            while remaining:
+                degree = len(prefix) - 1
+                bound = pseudopower(prefix[-1], degree) if degree else remaining
+                bounds.append(min(remaining, bound))
+                prefix.append(1)
+                remaining -= 1
             yield HVector(tuple(prefix))
-            return
-        bound = remaining if degree == 0 else min(remaining, pseudopower(last, degree))
-        for nxt in range(1, bound + 1):
-            prefix.append(nxt)
-            yield from walk(prefix, degree + 1, nxt, remaining - nxt)
-            prefix.pop()
+            # Drop every entry already at its bound, then raise the deepest one left.
+            while bounds and prefix[-1] == bounds[-1]:
+                remaining += prefix.pop()
+                bounds.pop()
+            if not bounds:
+                return
+            prefix[-1] += 1
+            remaining -= 1
 
-    return walk([1], 0, 1, n - 1)
+    return walk()
 
 
 def _compositions(total: int) -> Iterator[tuple[int, ...]]:
@@ -164,17 +171,17 @@ def _compositions(total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def brute_force_count(n: int, hard_cap: int = BRUTE_FORCE_CAP) -> int:
+def brute_force_count(n: int) -> int:
     """Count by generating every 1-prefixed composition and filtering.
 
     Independent oracle for the layered counter; the 2^(n-2) compositions
-    keep this to desk scale, enforced by the hard cap.
+    keep this to desk scale, so lengths above ``BRUTE_FORCE_CAP`` are refused.
     """
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    if n > hard_cap:
+    if n > BRUTE_FORCE_CAP:
         raise ResourceLimitError(
-            f"brute-force counting of length {n} refused (hard cap {hard_cap})"
+            f"brute-force counting of length {n} refused (hard cap {BRUTE_FORCE_CAP})"
         )
     return sum(
         1 for tail in _compositions(n - 1) if is_o_sequence((1,) + tail).valid
@@ -192,16 +199,11 @@ class CensusTable:
         return self.records[n]
 
 
-def build_census(
-    max_n: int,
-    ceiling: int = DEFAULT_CENSUS_CEILING,
-    counter: CensusCounter | None = None,
-) -> CensusTable:
-    """Compute counts for every length 1..max_n in one pass."""
+def build_census(max_n: int, ceiling: int = DEFAULT_CENSUS_CEILING) -> CensusTable:
+    """Compute counts for every length 1..max_n in one pass, refused above ``ceiling``."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    if counter is None:
-        counter = CensusCounter(ceiling=ceiling)
-    counter.count(max_n)  # counts every length through max_n, if not yet counted
+    counter = CensusCounter(ceiling=ceiling)
+    counter.count(max_n)  # a fresh counter counts every length through max_n at once
     counts = counter._counts
     return CensusTable(records={n: counts[n] for n in range(1, max_n + 1)}, max_n=max_n)

@@ -24,7 +24,6 @@ __all__ = [
     "build_partition_table",
     "hardy_ramanujan",
     "check_pq_inequality",
-    "BoundedPartitionCounter",
 ]
 
 DEFAULT_TABLE_LIMIT = 100_000
@@ -66,7 +65,7 @@ def _pentagonal_sum(
     return total
 
 
-def build_partition_table(limit: int, max_limit: int = DEFAULT_TABLE_LIMIT) -> PartitionTable:
+def build_partition_table(limit: int) -> PartitionTable:
     """Tabulate p and q up to ``limit`` in O(limit^1.5) big-integer additions.
 
     p uses Euler's pentagonal-number recurrence. q comes from p through the
@@ -76,13 +75,13 @@ def build_partition_table(limit: int, max_limit: int = DEFAULT_TABLE_LIMIT) -> P
 
         q(n) = p(n) + sum_{k>=1} (-1)^k [p(n - k(3k-1)) + p(n - k(3k+1))].
 
-    Refuses limits above ``max_limit``.
+    Refuses limits above ``DEFAULT_TABLE_LIMIT``.
     """
     if limit < 0:
         raise ValueError(f"table limit must be >= 0, got {limit}")
-    if limit > max_limit:
+    if limit > DEFAULT_TABLE_LIMIT:
         raise ResourceLimitError(
-            f"partition table limit {limit} exceeds the configured maximum {max_limit}"
+            f"partition table limit {limit} exceeds the configured maximum {DEFAULT_TABLE_LIMIT}"
         )
 
     # Generalised pentagonal pairs (k(3k-1)/2, k(3k+1)/2) for k >= 1, split by
@@ -193,41 +192,3 @@ def check_pq_inequality(limit: int, table: PartitionTable | None = None) -> list
             )
         results.append(PQCheck(n=n, p_prev=p_prev, q_n=q_n, strict=strict))
     return results
-
-
-class BoundedPartitionCounter:
-    """Partitions of a total into parts of bounded size, lazily tabulated.
-
-    ``count(total, max_part)`` is the number of partitions of ``total``
-    whose parts are all <= ``max_part`` (1 for total 0, the empty
-    partition). A request outside the table rebuilds it, at least doubling
-    each dimension the request exceeds, so the work stays proportional to
-    the final table. The new table replaces the old one whole, so a shared
-    counter never exposes a partly built table.
-    """
-
-    def __init__(self) -> None:
-        # _rows[m][t] = partitions of t with parts <= m
-        self._rows: list[list[int]] = [[1]]
-
-    def count(self, total: int, max_part: int) -> int:
-        if total < 0:
-            return 0
-        if total == 0:
-            return 1
-        m = min(max_part, total)
-        if m <= 0:
-            return 0
-        rows = self._rows
-        have_m, have_t = len(rows) - 1, len(rows[0]) - 1
-        if m > have_m or total > have_t:
-            new_m = max(m, 2 * have_m) if m > have_m else have_m
-            new_t = max(total, 2 * have_t) if total > have_t else have_t
-            rows = [[1] + [0] * new_t]
-            for part in range(1, new_m + 1):
-                row = rows[-1][:]
-                for s in range(part, new_t + 1):
-                    row[s] += row[s - part]
-                rows.append(row)
-            self._rows = rows
-        return rows[m][total]

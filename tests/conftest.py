@@ -27,8 +27,8 @@ def census_counter():
 
 
 @pytest.fixture(scope="session")
-def census_table(census_counter):
-    return build_census(60, counter=census_counter)
+def census_table():
+    return build_census(60)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ from oseq.cli import main
 from oseq.errors import ResourceLimitError, TheoremViolationError
 from oseq.partitions import (
     DEFAULT_TABLE_LIMIT,
-    BoundedPartitionCounter,
     build_partition_table,
     check_pq_inequality,
     hardy_ramanujan,
@@ -126,8 +125,6 @@ def test_table_limit_guard():
         build_partition_table(-1)
     with pytest.raises(ResourceLimitError):
         build_partition_table(DEFAULT_TABLE_LIMIT + 1)
-    with pytest.raises(ResourceLimitError):
-        build_partition_table(50, max_limit=10)
 
 
 def test_pq_inequality_examples(partition_table):
@@ -195,50 +192,6 @@ def test_hardy_ramanujan_ratio_needs_coverage(partition_table):
     assert est.ratio is None
     with pytest.raises(ValueError):
         hardy_ramanujan(0)
-
-
-def test_bounded_counter_matches_enumeration():
-    counter = BoundedPartitionCounter()
-    for total in range(19):
-        for max_part in range(1, total + 3):
-            expected = sum(1 for _ in gen_partitions(total, max_part)) if total else 1
-            assert counter.count(total, max_part) == expected, (total, max_part)
-
-
-def test_bounded_counter_edges(partition_table):
-    counter = BoundedPartitionCounter()
-    assert counter.count(0, 7) == 1
-    assert counter.count(5, 0) == 0
-    assert counter.count(-3, 4) == 0
-    for total in range(1, 40):
-        assert counter.count(total, total) == partition_table.p(total)
-        assert counter.count(total, total + 99) == partition_table.p(total)
-
-
-def test_bounded_counter_growth_order_independent():
-    # big request first, then small, against a counter grown the other way
-    a = BoundedPartitionCounter()
-    big_first = a.count(60, 25), a.count(6, 2)
-    b = BoundedPartitionCounter()
-    small_first = b.count(6, 2), b.count(60, 25)
-    assert big_first == (small_first[1], small_first[0])
-
-
-def test_bounded_counter_grows_each_dimension_alone():
-    grown = BoundedPartitionCounter()
-    grown.count(10, 3)
-    grown.count(80, 3)  # more totals, same parts
-    grown.count(80, 40)  # more parts, same totals
-    fresh = BoundedPartitionCounter()
-    for total in range(81):
-        for max_part in range(41):
-            expected = fresh.count(total, max_part)
-            assert grown.count(total, max_part) == expected, (total, max_part)
-
-
-def test_bounded_counter_large_total():
-    # Partitions into parts <= 3: the nearest integer to (n + 3)^2 / 12.
-    assert BoundedPartitionCounter().count(20000, 3) == round((20000 + 3) ** 2 / 12)
 
 
 def test_write_csv_exact_output(capsys):
