@@ -43,6 +43,7 @@ __all__ = [
     "CensusTable",
     "count_osequences",
     "enumerate_osequences",
+    "precritical_prefixes",
     "brute_force_count",
     "build_census",
 ]
@@ -112,6 +113,42 @@ def count_osequences(n: int, ceiling: int = DEFAULT_CENSUS_CEILING) -> int:
     return CensusCounter(ceiling=ceiling).count(n)
 
 
+def precritical_prefixes(limit: int) -> Iterator[tuple[int, ...]]:
+    """Yield every pre-critical prefix with entry sum at most ``limit``.
+
+    A pre-critical prefix is (1, h_1, ..., h_{j-1}) with h_i > i for every
+    i >= 1; its length j is the critical index of every sequence that
+    extends it by a tail of values <= j. Prefixes come in preorder, which
+    is lexicographic order: a prefix of length j and sum s, then its
+    children x = j + 1 .. min(pseudopower(h_{j-1}, j - 1), limit - s) with
+    theirs, the bound being limit - s alone for j = 1.
+    """
+    if limit < 1:
+        return
+    # Explicit stack, so no depth hits the recursion limit. bounds[i] is the
+    # largest value allowed for prefix[i + 1].
+    prefix, bounds, total = [1], [], 1
+    while True:
+        yield tuple(prefix)
+        j = len(prefix)
+        room = limit - total
+        if room > j:
+            bound = min(room, pseudopower(prefix[-1], j - 1)) if j > 1 else room
+            if bound > j:
+                bounds.append(bound)
+                prefix.append(j + 1)
+                total += j + 1
+                continue
+        # Drop every entry already at its bound, then raise the deepest one left.
+        while bounds and prefix[-1] == bounds[-1]:
+            total -= prefix.pop()
+            bounds.pop()
+        if not bounds:
+            return
+        prefix[-1] += 1
+        total += 1
+
+
 def enumerate_osequences(
     n: int,
     cap: int = DEFAULT_STREAM_CAP,
@@ -121,9 +158,15 @@ def enumerate_osequences(
 
     The exact count is computed first, by ``counter`` (a fresh counter with
     the default ceiling when none is given); if it exceeds ``cap`` the
-    stream is refused with an EnumerationCapError carrying the count. No
-    sequence of a fixed length is a prefix of another, so ascending choice
-    of each next entry yields plain lexicographic order.
+    stream is refused with an EnumerationCapError carrying the count.
+
+    Every O-sequence is a pre-critical prefix of some length j and sum s
+    followed by a partition of n - s into parts <= j, because x^<d> = x
+    once x <= d. So the stream walks ``precritical_prefixes(n)`` and, at
+    each prefix, yields the prefix followed by every such partition in
+    ascending lexicographic order before moving on to the prefix's
+    children, whose next entry exceeds j. That is plain lexicographic
+    order over the whole stream.
     """
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
@@ -136,27 +179,22 @@ def enumerate_osequences(
         raise EnumerationCapError(n=n, count=total, cap=cap)
 
     def walk() -> Iterator[HVector]:
-        # Explicit stack, so no length hits the recursion limit. bounds[i] is
-        # the largest value allowed for prefix[i + 1]; every value from 1 up to
-        # it can be completed (x^<d> >= x), so each step down takes 1 and a
-        # sequence is complete exactly when nothing remains to place.
-        prefix, bounds, remaining = [1], [], n - 1
-        while True:
-            while remaining:
-                degree = len(prefix) - 1
-                bound = pseudopower(prefix[-1], degree) if degree else remaining
-                bounds.append(min(remaining, bound))
-                prefix.append(1)
-                remaining -= 1
-            yield HVector(tuple(prefix))
-            # Drop every entry already at its bound, then raise the deepest one left.
-            while bounds and prefix[-1] == bounds[-1]:
-                remaining += prefix.pop()
-                bounds.pop()
-            if not bounds:
-                return
-            prefix[-1] += 1
-            remaining -= 1
+        for prefix in precritical_prefixes(n):
+            j = len(prefix)
+            seq = [*prefix, *[1] * (n - sum(prefix))]
+            yield HVector(tuple(seq))
+            while len(seq) > j:
+                # Successor of the tail: pop trailing entries until one can rise
+                # by 1 and stay <= its left neighbour (<= j for the first tail
+                # entry), raise it and refill what it leaves behind with 1s.
+                rest = seq.pop()
+                while len(seq) > j and seq[-1] == (seq[-2] if len(seq) > j + 1 else j):
+                    rest += seq.pop()
+                if len(seq) == j:
+                    break
+                seq[-1] += 1
+                seq += [1] * (rest - 1)
+                yield HVector(tuple(seq))
 
     return walk()
 

@@ -57,7 +57,7 @@ class HVector:
             raise ValueError("an h-vector has at least the entry h_0 = 1")
         if self.entries[0] != 1:
             raise ValueError(f"h_0 must be 1, got {self.entries[0]}")
-        if any(h < 1 for h in self.entries):
+        if min(self.entries) < 1:
             raise ValueError("all entries must be positive")
 
     @property

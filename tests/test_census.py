@@ -166,13 +166,17 @@ def test_enumerate_smallest_cases():
 
 
 def test_enumerate_yields_hvectors_in_lex_order(census_counter):
-    for n in range(1, 11):
+    # Sorted, unique, valid and as many as the census counts: the exact set,
+    # across every boundary between one prefix's tails and the next prefix.
+    for n in range(1, 25):
         seen = list(enumerate_osequences(n, counter=census_counter))
         assert all(isinstance(h, HVector) for h in seen)
         tuples = [tuple(h) for h in seen]
         assert tuples == sorted(tuples)
         assert len(set(tuples)) == len(tuples)
+        assert len(seen) == census_counter.count(n)
         assert all(sum(t) == n for t in tuples)
+        assert all(is_o_sequence(t).valid for t in tuples)
 
 
 def test_enumerate_matches_composition_filter(census_counter):

@@ -11,12 +11,15 @@ import io
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+from oseq.bounds import check_prefix_bound, remark_profile, verify_tail_partition
+from oseq.census import CensusCounter, enumerate_osequences
 from oseq.cli import main
 from oseq.macaulay import HVector
 from oseq.partitions import build_partition_table
@@ -388,18 +391,73 @@ def test_every_output_is_pinned(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def test_remark_sweep_output_is_pinned():
-    # The sweep script is a benchmark job; its stdout was recorded from the
-    # counter whose tail regime read a separate bounded-partition table.
-    root = pathlib.Path(__file__).resolve().parent.parent
+SWEEP_PATH = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "remark_sweep.py"
+
+# (--max-n, sha256 of stdout), recorded from the sweep that visited every sequence
+PINNED_SWEEPS = [
+    (0, "58b8b7f905e0b2827744f84ae4751ebf3bfa35c8f298442b29a846007247366b"),
+    (1, "31fa3597c71120c75c0972d15c4113acb51122f5e898ddd73d33ae581ee9ec84"),
+    (12, "7ad70dc56cb0143b279bdfd7d2eadd0e137f0609f584f535ae5d604c7149548e"),
+    (40, "53d25fd5db7cc5b93fe4c82d8e977a7aa36c81c2e59a5a9ec0072ddff7aa1640"),
+]
+
+
+def run_sweep(max_n: int) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": "src"}
-    done = subprocess.run(
-        [sys.executable, "scripts/remark_sweep.py", "--max-n", "12"],
-        cwd=root, env=env, capture_output=True, check=True,
+    return subprocess.run(
+        [sys.executable, str(SWEEP_PATH), "--max-n", str(max_n)],
+        cwd=SWEEP_PATH.parent.parent, env=env, capture_output=True, check=True,
     )
-    assert hashlib.sha256(done.stdout).hexdigest() == (
-        "7ad70dc56cb0143b279bdfd7d2eadd0e137f0609f584f535ae5d604c7149548e"
-    )
+
+
+def test_remark_sweep_output_is_pinned():
+    # The sweep script is a benchmark job, so its bytes are pinned.
+    for max_n, digest in PINNED_SWEEPS:
+        done = run_sweep(max_n)
+        assert hashlib.sha256(done.stdout).hexdigest() == digest, max_n
+        assert done.stderr == b""
+
+
+def per_sequence_sweep(max_n: int) -> str:
+    """Reference sweep: the per-sequence loop the script ran before it weighted prefixes."""
+    counter = CensusCounter(ceiling=max(max_n, 1))
+    lines = [
+        f"{'n':>3} {'L(n)':>8} {'tail ok':>8} {'prefix ok':>9} "
+        f"{'t monotone':>11} {'alpha monotone':>15}"
+    ]
+    for n in range(1, max_n + 1):
+        total = tail_ok = prefix_ok = t_ok = alpha_ok = 0
+        for h in enumerate_osequences(n, counter=counter, cap=10**7):
+            total += 1
+            tail_ok += verify_tail_partition(h)
+            prefix_ok += check_prefix_bound(h)
+            profile = remark_profile(h)
+            t_ok += profile.t_monotone
+            alpha_ok += profile.alpha_monotone_within_t_plateaus
+
+        def pct(k: int) -> str:
+            return f"{100.0 * k / total:>6.1f}%"
+
+        lines.append(
+            f"{n:>3} {total:>8} {pct(tail_ok):>8} {pct(prefix_ok):>9} "
+            f"{pct(t_ok):>11} {pct(alpha_ok):>15}"
+        )
+    return "".join(line + "\n" for line in lines)
+
+
+def test_remark_sweep_matches_per_sequence_sweep():
+    assert run_sweep(16).stdout.decode("utf-8") == per_sequence_sweep(16)
+
+
+def test_remark_sweep_exits_three_when_weights_miss_the_census(capsys, monkeypatch):
+    count = CensusCounter.count
+    monkeypatch.setattr(CensusCounter, "count", lambda self, n: count(self, n) + 1)
+    monkeypatch.setattr(sys, "argv", [str(SWEEP_PATH), "--max-n", "5"])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(str(SWEEP_PATH), run_name="__main__")
+    assert excinfo.value.code == 3
+    err = capsys.readouterr().err
+    assert "n=1" in err
 
 
 # ---------------------------------------------------------------------------
