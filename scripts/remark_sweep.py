@@ -36,6 +36,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=12, dest="max_n")
     args = parser.parse_args()
+    if args.max_n < 0:
+        parser.error("--max-n must be >= 0")
 
     counter = CensusCounter(ceiling=max(args.max_n, 1))
     groups: Counter[tuple[int, int, bool, bool]] = Counter()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .census import CensusTable
 from .errors import TheoremViolationError
-from .macaulay import HVector
+from .macaulay import HVector, pseudopower
 from .partitions import PartitionTable
 
 __all__ = [
@@ -156,8 +156,7 @@ class StaircaseDecomposition:
     alpha: int
 
     def value(self) -> int:
-        first = self.degree + 1
-        return sum(range(first - self.t, first + 1)) + self.alpha
+        return _staircase_sum(self.degree, self.t) + self.alpha
 
 
 def _staircase_sum(degree: int, t: int) -> int:
@@ -166,22 +165,20 @@ def _staircase_sum(degree: int, t: int) -> int:
 
 
 def staircase_decompose(value: int, degree: int) -> StaircaseDecomposition | None:
-    """Greedy maximal-t decomposition of one entry, or None when out of range.
+    """The staircase decomposition of one entry, or None when out of range.
 
-    Takes the largest t with the staircase sum <= value and degree - t >= 1;
-    the remainder must then fall below degree - t. The admissible windows
-    for consecutive t values tile [degree+1, (degree+1)(degree+2)/2 - 1]
-    without overlap, so the greedy pair is the only one.
+    In the window the degree-d expansion of value is t + 1 terms C(k+1, k)
+    and then alpha terms C(k, k). The lift makes each C(k+1, k) one more and
+    leaves each C(k, k) at 1, so value^<degree> = value + t + 1. Above the
+    window the first lifted term alone adds degree + 2, so t is out of range.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if value <= degree:
         return None
-    t = 0
-    while t + 1 <= degree - 1 and _staircase_sum(degree, t + 1) <= value:
-        t += 1
+    t = pseudopower(value, degree) - value - 1
     alpha = value - _staircase_sum(degree, t)
-    if alpha >= degree - t:
+    if not (0 <= t <= degree - 1 and 0 <= alpha < degree - t):
         return None
     return StaircaseDecomposition(degree=degree, t=t, alpha=alpha)
 

@@ -243,5 +243,5 @@ def build_census(max_n: int, ceiling: int = DEFAULT_CENSUS_CEILING) -> CensusTab
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     counter = CensusCounter(ceiling=ceiling)
     counter.count(max_n)  # a fresh counter counts every length through max_n at once
-    counts = counter._counts
-    return CensusTable(records={n: counts[n] for n in range(1, max_n + 1)}, max_n=max_n)
+    records = {n: counter.count(n) for n in range(1, max_n + 1)}
+    return CensusTable(records=records, max_n=max_n)

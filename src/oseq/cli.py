@@ -27,7 +27,7 @@ from .census import (
     count_osequences,
     enumerate_osequences,
 )
-from .errors import EnumerationCapError, ResourceLimitError, TheoremViolationError
+from .errors import ResourceLimitError, TheoremViolationError
 from .macaulay import HVector, is_o_sequence
 from .partitions import build_partition_table, hardy_ramanujan
 
@@ -376,12 +376,6 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_RESOURCE
     try:
         return _RUNNERS[args.command](args)
-    except EnumerationCapError as exc:
-        print(
-            f"error: L({exc.n}) = {exc.count} exceeds the streaming cap {exc.cap}",
-            file=sys.stderr,
-        )
-        return EXIT_RESOURCE
     except (ResourceLimitError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["ResourceLimitError", "EnumerationCapError", "TheoremViolationError"]
+
 
 class ResourceLimitError(RuntimeError):
     """A request exceeded a configured size ceiling and was refused."""
@@ -14,9 +16,7 @@ class EnumerationCapError(ResourceLimitError):
     """
 
     def __init__(self, n: int, count: int, cap: int) -> None:
-        super().__init__(
-            f"refusing to stream {count} sequences for n={n} (cap {cap})"
-        )
+        super().__init__(f"L({n}) = {count} exceeds the streaming cap {cap}")
         self.n = n
         self.count = count
         self.cap = cap

@@ -83,8 +83,8 @@ def test_staircase_window_boundaries():
 
 
 def test_staircase_matches_exhaustive_search():
-    """Greedy result is the one solution; outside the window there is none."""
-    for degree in range(1, 13):
+    """The lifted pair is the one solution; outside the window there is none."""
+    for degree in range(1, 30):
         top = (degree + 1) * (degree + 2) // 2 + 3
         for value in range(1, top + 1):
             pairs = staircase_pairs(value, degree)

@@ -133,13 +133,23 @@ def test_census_goldens_through_200():
 # bounded-partition table. Through 300 the top degree changes at 210, 231,
 # 253, 276 and 300.
 GOLDEN_L_1_TO_300_SHA256 = "ee98270b2cf1ad43012ea3ce28c097388db4d0522e8a3ed564ff4e116e98124d"
+# Recorded from the two-layer counter, before any replacement of it.
+GOLDEN_L_1_TO_500_SHA256 = "7141d99e9c25ec20873dadfe4f8d22601a5d38fde14e9b5626674f972494b03d"
 
 
 def test_census_goldens_through_300():
-    table = build_census(300, ceiling=300)
-    digits = ",".join(str(table.records[n]) for n in range(1, 301))
-    assert hashlib.sha256(digits.encode()).hexdigest() == GOLDEN_L_1_TO_300_SHA256
+    # One pass to 500 checks both digests: the first 300 values must not
+    # depend on the limit of the pass that computed them.
+    table = build_census(500, ceiling=500)
+
+    def digest(max_n: int) -> str:
+        digits = ",".join(str(table.records[n]) for n in range(1, max_n + 1))
+        return hashlib.sha256(digits.encode()).hexdigest()
+
+    assert digest(300) == GOLDEN_L_1_TO_300_SHA256
     assert table.records[300] == 35460060249422695729
+    assert digest(500) == GOLDEN_L_1_TO_500_SHA256
+    assert table.records[500] == 235658810137767994036933820
 
 
 def test_top_layer_at_every_boundary():
@@ -194,6 +204,7 @@ def test_enumerate_cap_refusal(census_counter):
     assert err.n == 12
     assert err.count == 82
     assert err.cap == 10
+    assert str(err) == "L(12) = 82 exceeds the streaming cap 10"
     assert isinstance(err, ResourceLimitError)
 
 

@@ -418,6 +418,17 @@ def test_remark_sweep_output_is_pinned():
         assert done.stderr == b""
 
 
+def test_remark_sweep_refuses_negative_max_n():
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run(
+        [sys.executable, str(SWEEP_PATH), "--max-n", "-3"],
+        cwd=SWEEP_PATH.parent.parent, env=env, capture_output=True,
+    )
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert b"--max-n must be >= 0" in done.stderr
+
+
 def per_sequence_sweep(max_n: int) -> str:
     """Reference sweep: the per-sequence loop the script ran before it weighted prefixes."""
     counter = CensusCounter(ceiling=max(max_n, 1))

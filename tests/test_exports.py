@@ -17,3 +17,10 @@ def test_every_exported_name_resolves():
     assert with_all >= {"oseq", "oseq.bounds", "oseq.census", "oseq.macaulay", "oseq.partitions"}
     missing = [f"{m.__name__}.{name}" for m, name in exported if not hasattr(m, name)]
     assert missing == []
+
+
+def test_package_exports_every_module_list_once():
+    modules = [oseq.bounds, oseq.census, oseq.errors, oseq.macaulay, oseq.partitions]
+    assert oseq.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(oseq.__all__)) == len(oseq.__all__)
+    assert oseq.precritical_prefixes is oseq.census.precritical_prefixes
