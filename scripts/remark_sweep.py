@@ -40,6 +40,7 @@ def main() -> int:
         parser.error("--max-n must be >= 0")
 
     counter = CensusCounter(ceiling=max(args.max_n, 1))
+    counter.count(args.max_n)  # one pass through --max-n; the loop below reads it back
     groups: Counter[tuple[int, int, bool, bool]] = Counter()
     for prefix in precritical_prefixes(args.max_n):
         profile = remark_profile(HVector(prefix))

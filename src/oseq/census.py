@@ -18,8 +18,30 @@ sequence). Then:
 A value h_d > d forces h_i > i for every earlier i, so the entries through
 degree d sum to at least (d + 1)(d + 2)/2. Layers therefore start at the
 smallest D with (D + 1)(D + 2)/2 > N, where no value above the degree is
-reachable, layer d only needs r <= N - d(d + 1)/2, and only two layers are
-held at a time.
+reachable, and layer d only needs r <= N - d(d + 1)/2.
+
+Most cells of a row need not be stored:
+
+* Lazy rows. Let T_d(r) = G_d(r)[r] be the total of row r, and y_0(r) the
+  least y > d with y + y^<d> >= r. From y_0(r) on the cap no longer binds,
+  so F(d, y, r - y) = T_{d+1}(r - y). y_0(r) never decreases as r grows,
+  so one pointer per layer finds it, and the caps y^<d> are listed as it
+  advances. Row r stores G_d(r)[0..k] with k = min(r, y_0(r) - 1), which
+  is at least min(d, r), so every partition-tail lookup lands on a stored
+  cell. With S_{d+1}(i) = T_{d+1}(0) + ... + T_{d+1}(i - 1), the row total
+  is T_d(r) = G_d(r)[k] + S_{d+1}(r - k), and a cell b > k is
+  T_d(r) - S_{d+1}(r - b). While layer d is built, the pass keeps the rows
+  and totals of layer d + 1 and the prefix sums of layers d + 1 and d + 2.
+* Reachability. Let m(d, y) be the least h_0 + ... + h_{d-1} of a valid
+  prefix with h_d = y: m(1, y) = 1, and m(d, y) = m(d - 1, x) + x for the
+  least x with x^<d-1> >= y. Only m(d, 1) = d; for instance m(5, 5) = 15.
+  A sequence of total at most N reaches row r of layer d only with
+  h_d <= B_d(r) = max{y : m(d, y) + r <= N}, so k is cut to B_d(r), but
+  never below min(d, r), and the y_0 pointer, with the caps it lists, stops
+  just past B_d(r). A cut row's total is wrong, but no lookup reads
+  it, nor any difference of prefix sums that spans it. The pruning follows
+  the limit N of the pass, so a pass counts through exactly the length it
+  is asked for.
 
 An independent generate-and-test oracle (every composition, filtered by the
 validity test) cross-checks the counter at desk scale; the two share no
@@ -28,8 +50,9 @@ code besides ``is_o_sequence``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Iterator
 
 from .errors import EnumerationCapError, ResourceLimitError
@@ -48,7 +71,7 @@ __all__ = [
     "build_census",
 ]
 
-DEFAULT_CENSUS_CEILING = 200
+DEFAULT_CENSUS_CEILING = 1000
 DEFAULT_STREAM_CAP = 100_000
 BRUTE_FORCE_CAP = 16
 
@@ -57,10 +80,11 @@ class CensusCounter:
     """Counter of L(n) for every n up to ``ceiling``, reusable across lengths.
 
     By convention no sequence sums to 0 (h_0 = 1 is mandatory), so
-    ``count(0)`` is 0. The first request beyond the lengths already counted
-    recounts every length up to it in one pass (at least doubling the range
-    covered, up to the ceiling); later requests within that range are table
-    lookups.
+    ``count(0)`` is 0. A request beyond the lengths already counted recounts
+    every length up to exactly that one in one pass; later requests within
+    that range are table lookups. The pass stores only the cells a sequence
+    of total at most its limit can reach, so it does not count further
+    ahead than asked.
     """
 
     def __init__(self, ceiling: int = DEFAULT_CENSUS_CEILING) -> None:
@@ -76,9 +100,8 @@ class CensusCounter:
             raise ResourceLimitError(
                 f"census length {n} exceeds the configured ceiling {self.ceiling}"
             )
-        have = len(self._counts) - 1
-        if n > have:
-            self._counts = self._count_through(min(self.ceiling, max(n, 2 * have)))
+        if n >= len(self._counts):
+            self._counts = self._count_through(n)
         return self._counts[n]
 
     def _count_through(self, limit: int) -> list[int]:
@@ -86,26 +109,64 @@ class CensusCounter:
         top_degree = 1
         while (top_degree + 1) * (top_degree + 2) // 2 <= limit:
             top_degree += 1
-        upper: list[list[int]] = []  # G_{d+1}, indexed [r][b]
+        # caps[d][y] = y^<d>, listed only as far as a pointer has needed it.
+        caps = [list(range(d + 1)) for d in range(top_degree + 1)]
+        floors = _prefix_floors(limit, caps)
+        upper: list[list[int]] = []  # stored cells of G_{d+1}, indexed [s][b]
+        upper_totals: list[int] = []  # T_{d+1}
+        upper_sums = [0]  # S_{d+1}: upper_sums[i] = T_{d+1}(0) + ... + T_{d+1}(i - 1)
+        upper2_sums = [0]  # S_{d+2}
         for d in range(top_degree, 0, -1):
             top = limit - d * (d + 1) // 2
-            # Growth caps of the values above the degree; capping at ``top``
-            # changes no lookup, since every lookup is at most r.
-            caps = [min(top, pseudopower(y, d)) for y in range(d + 1, top + 1)]
-            # Rows are padded to d + 1 entries, so row s read at y <= d is the
-            # number of partitions of s into parts <= y.
-            layer = [[1] * (d + 1)]
+            cap, floor = caps[d], floors[d]
+            y0 = d + 1  # the pointer for y_0(r)
+            layer, totals = [[1]], [1]
             for r in range(1, top + 1):
-                terms = [layer[r - y][y] for y in range(1, min(d, r) + 1)]
-                # In the top layer r <= d, so no value above the degree is reachable.
+                reach = max(d, bisect_right(floor, limit - r))  # B_d(r), at least d
+                while y0 <= reach:
+                    if y0 == len(cap):
+                        cap.append(pseudopower(y0, d))
+                    if y0 + cap[y0] >= r:
+                        break
+                    y0 += 1
+                k = min(r, y0 - 1, reach)
+                terms = [layer[r - y][min(y, r - y)] for y in range(1, min(d, r) + 1)]
+                # Below y_0 the cap binds: y^<d> < r - y, so F(d, y, r - y) is
+                # G_{d+1}(r - y)[y^<d>], stored or answered lazily.
                 terms += [
-                    upper[r - y][min(r - y, cap)] for y, cap in zip(range(d + 1, r + 1), caps)
+                    row[c] if c < len(row := upper[s]) else upper_totals[s] - upper2_sums[s - c]
+                    for s, c in zip(range(r - d - 1, r - k - 1, -1), cap[d + 1 : k + 1])
                 ]
                 row = [0, *accumulate(terms)]
-                row += [row[-1]] * (d + 1 - len(row))
                 layer.append(row)
-            upper = layer
-        return [0] + [upper[n - 1][n - 1] for n in range(1, limit + 1)]
+                totals.append(row[k] + upper_sums[r - k])
+            upper, upper_totals = layer, totals
+            upper2_sums, upper_sums = upper_sums, [0, *accumulate(totals)]
+        return [0, *upper_totals]
+
+
+def _prefix_floors(limit: int, caps: list[list[int]]) -> list[list[int]]:
+    """floors[d][y - 1] = m(d, y) for every y with m(d, y) + y <= limit.
+
+    m(d, y) is the least h_0 + ... + h_{d-1} of a valid prefix with h_d = y:
+    m(1, y) = 1, and m(d, y) = m(d - 1, x) + x for the least x with
+    x^<d-1> >= y, since x^<d-1> and m(d - 1, x) + x both grow with x.
+    ``caps`` is extended as the search for x needs it.
+    """
+    floors = [[], [1] * (limit - 1)]
+    for d in range(2, len(caps)):
+        below, cap, floor = floors[d - 1], caps[d - 1], []
+        x = 1
+        for y in count(1):
+            while cap[x] < y and x < len(below):
+                x += 1
+                if x == len(cap):
+                    cap.append(pseudopower(x, d - 1))
+            if cap[x] < y or below[x - 1] + x + y > limit:
+                break
+            floor.append(below[x - 1] + x)
+        floors.append(floor)
+    return floors
 
 
 def count_osequences(n: int, ceiling: int = DEFAULT_CENSUS_CEILING) -> int:

@@ -135,21 +135,39 @@ def test_census_goldens_through_200():
 GOLDEN_L_1_TO_300_SHA256 = "ee98270b2cf1ad43012ea3ce28c097388db4d0522e8a3ed564ff4e116e98124d"
 # Recorded from the two-layer counter, before any replacement of it.
 GOLDEN_L_1_TO_500_SHA256 = "7141d99e9c25ec20873dadfe4f8d22601a5d38fde14e9b5626674f972494b03d"
+GOLDEN_L_1_TO_1000_SHA256 = "ce6572dde312e5d5f2ff5fc5d920df29852c69d1576c2df8e295a2b5ee2cbc79"
 
 
-def test_census_goldens_through_300():
-    # One pass to 500 checks both digests: the first 300 values must not
+@pytest.fixture(scope="module")
+def census_to_1000():
+    return build_census(1000, ceiling=1000)
+
+
+def digest(table: CensusTable, max_n: int) -> str:
+    digits = ",".join(str(table.records[n]) for n in range(1, max_n + 1))
+    return hashlib.sha256(digits.encode()).hexdigest()
+
+
+def test_census_goldens_through_300(census_to_1000):
+    # One pass to 1000 checks every digest: the first values must not
     # depend on the limit of the pass that computed them.
-    table = build_census(500, ceiling=500)
+    assert digest(census_to_1000, 300) == GOLDEN_L_1_TO_300_SHA256
+    assert census_to_1000.records[300] == 35460060249422695729
+    assert digest(census_to_1000, 500) == GOLDEN_L_1_TO_500_SHA256
+    assert census_to_1000.records[500] == 235658810137767994036933820
+    assert digest(census_to_1000, 1000) == GOLDEN_L_1_TO_1000_SHA256
+    assert census_to_1000.records[1000] == 1096158383517729784038720034067846959294
 
-    def digest(max_n: int) -> str:
-        digits = ",".join(str(table.records[n]) for n in range(1, max_n + 1))
-        return hashlib.sha256(digits.encode()).hexdigest()
 
-    assert digest(300) == GOLDEN_L_1_TO_300_SHA256
-    assert table.records[300] == 35460060249422695729
-    assert digest(500) == GOLDEN_L_1_TO_500_SHA256
-    assert table.records[500] == 235658810137767994036933820
+def test_pass_prunes_against_its_own_limit(census_to_1000):
+    # A pass to N stores only the cells a sequence of total <= N reaches, so
+    # a pass to n must agree with the pinned pass to 1000 wherever the two
+    # prune differently: every small n, around the triangular totals where
+    # the top layer moves, and just below 1000.
+    assert digest(census_to_1000, 1000) == GOLDEN_L_1_TO_1000_SHA256
+    around_triangular = [t + step for t in (210, 300, 406) for step in (-1, 0, 1)]
+    for n in [*range(1, 121), *around_triangular, 999]:
+        assert CensusCounter(ceiling=n).count(n) == census_to_1000.records[n], n
 
 
 def test_top_layer_at_every_boundary():

@@ -188,6 +188,21 @@ def test_census_cap_refusal(capsys):
     assert "ceiling" in err
 
 
+def test_census_default_ceiling_admits_201(capsys):
+    code, out, err = run_cli(capsys, "census", "--max-n", "201", "--format", "csv")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 202
+    assert lines[200] == "200,1975618316572817"
+
+
+def test_count_refuses_past_default_ceiling(capsys):
+    code, out, err = run_cli(capsys, "count", "--n", "1001")
+    assert code == 2
+    assert out == ""
+    assert "ceiling 1000" in err
+
+
 def test_census_ignores_planted_cache_file(capsys, tmp_path, monkeypatch):
     # the census is always recounted: neither an option nor the former
     # environment variable can feed it stored values
