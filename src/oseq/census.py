@@ -3,45 +3,23 @@
 count_osequences(n) is the number of sequences (1, h_1, ..., h_e) with all
 entries >= 1, summing to n, that satisfy the growth condition.
 
-The counter is a bottom-up dynamic program over degrees. Write F(d, x, r)
-for the number of ways to finish a sequence with h_d = x and r still to
-place, and G_d(r)[b] = sum of F(d, y, r - y) over 1 <= y <= b, with
-G_d(0) = [1] read as 1 at every index (nothing left to place ends the
-sequence). Then:
+Every such sequence splits at its critical index j, the least i with
+h_i <= i, into a pre-critical prefix (1, h_1, ..., h_{j-1}) with h_i > i
+and a tail h_j >= h_{j+1} >= ... with h_j <= j. The tail is free: h_j <= j
+<= h_{j-1}^<j-1>, and x^<d> = x once x <= d. So with N_j(s) the number of
+pre-critical prefixes of length j and entry sum s,
 
-* F(d, x, r) = G_{d+1}(r)[min(r, x^<d>)], one lookup into the next layer;
-* once x <= d the growth condition stops binding (every later value is
-  nonincreasing), so F(d, x, r) is the number of partitions of r into
-  parts <= x, which is G_d(r)[x]: the layer's own earlier row;
-* L(n) = G_1(n - 1)[n - 1] for n >= 1, so one pass yields every L(1..N).
+    sum over n of L(n) x^n = sum over j of N_j(x) / ((1 - x)(1 - x^2)...(1 - x^j)).
 
-A value h_d > d forces h_i > i for every earlier i, so the entries through
-degree d sum to at least (d + 1)(d + 2)/2. Layers therefore start at the
-smallest D with (D + 1)(D + 2)/2 > N, where no value above the degree is
-reachable, and layer d only needs r <= N - d(d + 1)/2.
-
-Most cells of a row need not be stored:
-
-* Lazy rows. Let T_d(r) = G_d(r)[r] be the total of row r, and y_0(r) the
-  least y > d with y + y^<d> >= r. From y_0(r) on the cap no longer binds,
-  so F(d, y, r - y) = T_{d+1}(r - y). y_0(r) never decreases as r grows,
-  so one pointer per layer finds it, and the caps y^<d> are listed as it
-  advances. Row r stores G_d(r)[0..k] with k = min(r, y_0(r) - 1), which
-  is at least min(d, r), so every partition-tail lookup lands on a stored
-  cell. With S_{d+1}(i) = T_{d+1}(0) + ... + T_{d+1}(i - 1), the row total
-  is T_d(r) = G_d(r)[k] + S_{d+1}(r - k), and a cell b > k is
-  T_d(r) - S_{d+1}(r - b). While layer d is built, the pass keeps the rows
-  and totals of layer d + 1 and the prefix sums of layers d + 1 and d + 2.
-* Reachability. Let m(d, y) be the least h_0 + ... + h_{d-1} of a valid
-  prefix with h_d = y: m(1, y) = 1, and m(d, y) = m(d - 1, x) + x for the
-  least x with x^<d-1> >= y. Only m(d, 1) = d; for instance m(5, 5) = 15.
-  A sequence of total at most N reaches row r of layer d only with
-  h_d <= B_d(r) = max{y : m(d, y) + r <= N}, so k is cut to B_d(r), but
-  never below min(d, r), and the y_0 pointer, with the caps it lists, stops
-  just past B_d(r). A cut row's total is wrong, but no lookup reads
-  it, nor any difference of prefix sums that spans it. The pruning follows
-  the limit N of the pass, so a pass counts through exactly the length it
-  is asked for.
+The counter builds N_j forward over j. A prefix of length j ending in x
+takes any next entry y with j < y <= x^<j-1> (any y > 1 when j = 1). Since
+x^<j-1> grows with x, y follows exactly the prefixes whose last entry is at
+least the least x with y <= x^<j-1>, so one running sum of the rows, from
+the largest x down, gives every y its row. The prefix (1, 2, ..., j) has the
+least sum, j(j + 1)/2, so j < sqrt(2n). The tails are then folded in by
+Horner's rule, dividing by 1 - x^j from the longest prefix length down.
+Sums stop at the limit of the pass, so a pass to N is exact for every
+n <= N.
 
 An independent generate-and-test oracle (every composition, filtered by the
 validity test) cross-checks the counter at desk scale; the two share no
@@ -50,9 +28,8 @@ code besides ``is_o_sequence``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, count
+from operator import add
 from typing import Iterator
 
 from .errors import EnumerationCapError, ResourceLimitError
@@ -81,10 +58,8 @@ class CensusCounter:
 
     By convention no sequence sums to 0 (h_0 = 1 is mandatory), so
     ``count(0)`` is 0. A request beyond the lengths already counted recounts
-    every length up to exactly that one in one pass; later requests within
-    that range are table lookups. The pass stores only the cells a sequence
-    of total at most its limit can reach, so it does not count further
-    ahead than asked.
+    every length up to exactly that one in one prefix-and-tail pass; later
+    requests within that range are table lookups.
     """
 
     def __init__(self, ceiling: int = DEFAULT_CENSUS_CEILING) -> None:
@@ -105,68 +80,37 @@ class CensusCounter:
         return self._counts[n]
 
     def _count_through(self, limit: int) -> list[int]:
-        """L(0..limit) by the layered pass described in the module docstring."""
-        top_degree = 1
-        while (top_degree + 1) * (top_degree + 2) // 2 <= limit:
-            top_degree += 1
-        # caps[d][y] = y^<d>, listed only as far as a pointer has needed it.
-        caps = [list(range(d + 1)) for d in range(top_degree + 1)]
-        floors = _prefix_floors(limit, caps)
-        upper: list[list[int]] = []  # stored cells of G_{d+1}, indexed [s][b]
-        upper_totals: list[int] = []  # T_{d+1}
-        upper_sums = [0]  # S_{d+1}: upper_sums[i] = T_{d+1}(0) + ... + T_{d+1}(i - 1)
-        upper2_sums = [0]  # S_{d+2}
-        for d in range(top_degree, 0, -1):
-            top = limit - d * (d + 1) // 2
-            cap, floor = caps[d], floors[d]
-            y0 = d + 1  # the pointer for y_0(r)
-            layer, totals = [[1]], [1]
-            for r in range(1, top + 1):
-                reach = max(d, bisect_right(floor, limit - r))  # B_d(r), at least d
-                while y0 <= reach:
-                    if y0 == len(cap):
-                        cap.append(pseudopower(y0, d))
-                    if y0 + cap[y0] >= r:
-                        break
-                    y0 += 1
-                k = min(r, y0 - 1, reach)
-                terms = [layer[r - y][min(y, r - y)] for y in range(1, min(d, r) + 1)]
-                # Below y_0 the cap binds: y^<d> < r - y, so F(d, y, r - y) is
-                # G_{d+1}(r - y)[y^<d>], stored or answered lazily.
-                terms += [
-                    row[c] if c < len(row := upper[s]) else upper_totals[s] - upper2_sums[s - c]
-                    for s, c in zip(range(r - d - 1, r - k - 1, -1), cap[d + 1 : k + 1])
-                ]
-                row = [0, *accumulate(terms)]
-                layer.append(row)
-                totals.append(row[k] + upper_sums[r - k])
-            upper, upper_totals = layer, totals
-            upper2_sums, upper_sums = upper_sums, [0, *accumulate(totals)]
-        return [0, *upper_totals]
-
-
-def _prefix_floors(limit: int, caps: list[list[int]]) -> list[list[int]]:
-    """floors[d][y - 1] = m(d, y) for every y with m(d, y) + y <= limit.
-
-    m(d, y) is the least h_0 + ... + h_{d-1} of a valid prefix with h_d = y:
-    m(1, y) = 1, and m(d, y) = m(d - 1, x) + x for the least x with
-    x^<d-1> >= y, since x^<d-1> and m(d - 1, x) + x both grow with x.
-    ``caps`` is extended as the search for x needs it.
-    """
-    floors = [[], [1] * (limit - 1)]
-    for d in range(2, len(caps)):
-        below, cap, floor = floors[d - 1], caps[d - 1], []
-        x = 1
-        for y in count(1):
-            while cap[x] < y and x < len(below):
-                x += 1
-                if x == len(cap):
-                    cap.append(pseudopower(x, d - 1))
-            if cap[x] < y or below[x - 1] + x + y > limit:
-                break
-            floor.append(below[x - 1] + x)
-        floors.append(floor)
-    return floors
+        """L(0..limit): count the pre-critical prefixes, then fold in their tails."""
+        # The prefixes of length j as (cap, row) in ascending last entry x, where
+        # cap = x^<j-1> bounds the next entry (any entry may follow (1)). A row
+        # is right-aligned: row[-1 - i] counts the prefixes of sum limit - i.
+        layer = [(limit, [1] + [0] * (limit - 1))]
+        prefix_counts = []  # N_j for j = 1, 2, ..., right-aligned like the rows
+        j = 1
+        while layer:
+            run: list[int] = []  # the sum of the rows of x and every larger x
+            next_layer = []
+            while layer:  # from the largest x down, freeing each row once added
+                cap, row = layer.pop()
+                lead = len(row) - len(run)
+                run = row[:lead] + list(map(add, row[lead:], run))
+                # The y whose least admissible x is this one lie above the cap
+                # of the next smaller x, or above j for the smallest x.
+                low = layer[-1][0] if layer else j
+                for y in range(min(cap, len(run) - 1), low, -1):
+                    next_layer.append((pseudopower(y, j), run[:-y]))  # sums raised by y
+            prefix_counts.append(run)
+            next_layer.reverse()
+            layer = next_layer
+            j += 1
+        # Horner's rule: add N_j, then divide by 1 - x^j, from the longest j down.
+        counts = [0] * (limit + 1)
+        for j in range(len(prefix_counts), 0, -1):
+            offset = limit + 1 - len(prefix_counts[j - 1])
+            counts[offset:] = map(add, counts[offset:], prefix_counts[j - 1])
+            for n in range(j, limit + 1):
+                counts[n] += counts[n - j]
+        return counts
 
 
 def count_osequences(n: int, ceiling: int = DEFAULT_CENSUS_CEILING) -> int:
@@ -273,7 +217,7 @@ def _compositions(total: int) -> Iterator[tuple[int, ...]]:
 def brute_force_count(n: int) -> int:
     """Count by generating every 1-prefixed composition and filtering.
 
-    Independent oracle for the layered counter; the 2^(n-2) compositions
+    Independent oracle for the census counter; the 2^(n-2) compositions
     keep this to desk scale, so lengths above ``BRUTE_FORCE_CAP`` are refused.
     """
     if n < 1:

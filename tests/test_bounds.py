@@ -170,6 +170,12 @@ def test_bounds_report_rejects_planted_violation(partition_table):
         build_bounds_report(fake, partition_table)
 
 
+def test_bounds_report_rejects_planted_upper_violation(partition_table):
+    fake = CensusTable(records={1: 1, 2: 10**10}, max_n=2)
+    with pytest.raises(TheoremViolationError, match="log-space upper bound failed at n=2"):
+        build_bounds_report(fake, partition_table)
+
+
 def test_bounds_payload_shape(capsys):
     assert main(["bounds", "--max-n", "10", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

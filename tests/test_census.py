@@ -10,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+from oseq.bounds import build_bounds_report, staircase_decompose
 from oseq.census import (
     CensusCounter,
     CensusTable,
@@ -17,10 +18,12 @@ from oseq.census import (
     build_census,
     count_osequences,
     enumerate_osequences,
+    precritical_prefixes,
 )
 from oseq.cli import main
 from oseq.errors import EnumerationCapError, ResourceLimitError
 from oseq.macaulay import HVector, is_o_sequence
+from oseq.partitions import build_partition_table, check_pq_inequality
 
 KNOWN_COUNTS = [1, 1, 2, 3, 5, 8, 12, 18, 27, 40, 57, 82]  # n = 1..12
 
@@ -136,11 +139,12 @@ GOLDEN_L_1_TO_300_SHA256 = "ee98270b2cf1ad43012ea3ce28c097388db4d0522e8a3ed564ff
 # Recorded from the two-layer counter, before any replacement of it.
 GOLDEN_L_1_TO_500_SHA256 = "7141d99e9c25ec20873dadfe4f8d22601a5d38fde14e9b5626674f972494b03d"
 GOLDEN_L_1_TO_1000_SHA256 = "ce6572dde312e5d5f2ff5fc5d920df29852c69d1576c2df8e295a2b5ee2cbc79"
+GOLDEN_L_1_TO_2000_SHA256 = "0edc27de19851bdb2bd890220737cb89ebbf95ddb98122188d1a89467d6861be"
 
 
 @pytest.fixture(scope="module")
-def census_to_1000():
-    return build_census(1000, ceiling=1000)
+def census_to_2000():
+    return build_census(2000, ceiling=2000)
 
 
 def digest(table: CensusTable, max_n: int) -> str:
@@ -148,31 +152,36 @@ def digest(table: CensusTable, max_n: int) -> str:
     return hashlib.sha256(digits.encode()).hexdigest()
 
 
-def test_census_goldens_through_300(census_to_1000):
-    # One pass to 1000 checks every digest: the first values must not
+def test_census_goldens_through_300(census_to_2000):
+    # One pass to 2000 checks every digest: the first values must not
     # depend on the limit of the pass that computed them.
-    assert digest(census_to_1000, 300) == GOLDEN_L_1_TO_300_SHA256
-    assert census_to_1000.records[300] == 35460060249422695729
-    assert digest(census_to_1000, 500) == GOLDEN_L_1_TO_500_SHA256
-    assert census_to_1000.records[500] == 235658810137767994036933820
-    assert digest(census_to_1000, 1000) == GOLDEN_L_1_TO_1000_SHA256
-    assert census_to_1000.records[1000] == 1096158383517729784038720034067846959294
+    assert digest(census_to_2000, 300) == GOLDEN_L_1_TO_300_SHA256
+    assert census_to_2000.records[300] == 35460060249422695729
+    assert digest(census_to_2000, 500) == GOLDEN_L_1_TO_500_SHA256
+    assert census_to_2000.records[500] == 235658810137767994036933820
+    assert digest(census_to_2000, 1000) == GOLDEN_L_1_TO_1000_SHA256
+    assert census_to_2000.records[1000] == 1096158383517729784038720034067846959294
+    assert digest(census_to_2000, 2000) == GOLDEN_L_1_TO_2000_SHA256
+    assert census_to_2000.records[2000] == (
+        1214559288682243409115349935196359212780994640503288898009
+    )
 
 
-def test_pass_prunes_against_its_own_limit(census_to_1000):
-    # A pass to N stores only the cells a sequence of total <= N reaches, so
-    # a pass to n must agree with the pinned pass to 1000 wherever the two
-    # prune differently: every small n, around the triangular totals where
-    # the top layer moves, and just below 1000.
-    assert digest(census_to_1000, 1000) == GOLDEN_L_1_TO_1000_SHA256
+def test_pass_prunes_against_its_own_limit(census_to_2000):
+    # A pass to N stops its prefix rows at sum N, so a pass to n must agree
+    # with the pinned pass wherever the two cut differently: every small n,
+    # around the triangular totals where the number of prefix lengths
+    # changes, and just below 1000.
+    assert digest(census_to_2000, 1000) == GOLDEN_L_1_TO_1000_SHA256
     around_triangular = [t + step for t in (210, 300, 406) for step in (-1, 0, 1)]
     for n in [*range(1, 121), *around_triangular, 999]:
-        assert CensusCounter(ceiling=n).count(n) == census_to_1000.records[n], n
+        assert CensusCounter(ceiling=n).count(n) == census_to_2000.records[n], n
 
 
 def test_top_layer_at_every_boundary():
-    # A pass to N starts at the smallest degree D with (D + 1)(D + 2)/2 > N,
-    # so the top layer moves at every triangular N: 1, 3, 6, ..., 78 here.
+    # (1, 2, ..., j) is the least prefix of length j, so the number of prefix
+    # lengths a pass to N counts changes at every triangular N: 1, 3, 6, ...,
+    # 78 here.
     one_pass = build_census(200)
     for n in range(1, 81):
         assert CensusCounter(ceiling=n).count(n) == one_pass.records[n], n
@@ -181,6 +190,35 @@ def test_top_layer_at_every_boundary():
 def test_brute_force_hard_cap():
     with pytest.raises(ResourceLimitError):
         brute_force_count(17)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: next(precritical_prefixes(0)), StopIteration),
+        # enumerate refuses at call time, before anything is iterated
+        (lambda: enumerate_osequences(0), ValueError),
+        (lambda: enumerate_osequences(3, cap=0), ValueError),
+        (lambda: brute_force_count(0), ValueError),
+        (lambda: build_census(0), ValueError),
+        (lambda: staircase_decompose(5, 0), ValueError),
+        (lambda: check_pq_inequality(0), ValueError),
+        (lambda: build_bounds_report(CensusTable({}, 0), build_partition_table(3)), ValueError),
+    ],
+    ids=[
+        "precritical_prefixes",
+        "enumerate_n",
+        "enumerate_cap",
+        "brute_force_count",
+        "build_census",
+        "staircase_degree",
+        "check_pq_inequality",
+        "build_bounds_report",
+    ],
+)
+def test_guards_on_empty_ranges(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_enumerate_smallest_cases():

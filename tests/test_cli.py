@@ -19,7 +19,7 @@ import jsonschema
 import pytest
 
 from oseq.bounds import check_prefix_bound, remark_profile, verify_tail_partition
-from oseq.census import CensusCounter, enumerate_osequences
+from oseq.census import CensusCounter, CensusTable, enumerate_osequences
 from oseq.cli import main
 from oseq.macaulay import HVector
 from oseq.partitions import build_partition_table
@@ -257,6 +257,16 @@ def test_bounds_table_envelope_line(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--max-n", "10")
     assert code == 0
     assert "empirical envelope" in out.splitlines()[-1]
+
+
+def test_theorem_violation_exits_three(capsys, monkeypatch):
+    # A census below p(n-1) can only come from a bug, and says so on stderr.
+    fake = CensusTable(records={1: 1, 2: 1, 3: 1}, max_n=3)
+    monkeypatch.setattr("oseq.cli.build_census", lambda max_n, ceiling: fake)
+    code, out, err = run_cli(capsys, "bounds", "--max-n", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error (bug): lower bound p(n-1) <= count failed at n=3: 2 > 1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -204,3 +204,12 @@ def test_pq_guard_trips_on_corrupt_table(partition_table):
     object.__setattr__(broken, "q_values", tuple([*broken.q_values[:5], 999, *broken.q_values[6:]]))
     with pytest.raises(TheoremViolationError):
         check_pq_inequality(10, table=broken)
+
+
+def test_pq_guard_trips_on_lost_strictness():
+    broken = build_partition_table(10)
+    q_values = list(broken.q_values)
+    q_values[4] = broken.p_values[3]  # q(4) = p(3) = 3, where p(n-1) > q(n) must be strict
+    object.__setattr__(broken, "q_values", tuple(q_values))
+    with pytest.raises(TheoremViolationError, match="strictness .* wrong at n=4"):
+        check_pq_inequality(10, table=broken)
