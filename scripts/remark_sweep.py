@@ -12,23 +12,22 @@ so their rates are the interesting output.
 
 No sequence is visited. Every O-sequence is a pre-critical prefix of length
 j and sum s followed by a partition of n - s into parts <= j, and every
-column but "tail ok" depends only on the prefix and n. So one walk over the
-prefixes to --max-n groups them by (s, j, staircase flags), and each group
-counts P(n - s, parts <= j) sequences of total n. The tail is a partition by
-construction; what backs "tail ok" instead is that the weights sum to the
-census count L(n). A mismatch is a bug: the script names n on stderr and
-exits 3.
+column but "tail ok" tests the prefix alone ("prefix ok" is j^2 < 2s <= 2n).
+So one walk over the prefixes to --max-n counts N_j(s) for all prefixes and
+for those passing each prefix column, and the census's tail fold turns each
+family into per-n sequence counts. The tail is a partition by construction;
+what backs "tail ok" instead is that the folded totals equal the census
+count L(n), whose prefixes come from its rows, not from this walk. A
+mismatch is a bug: the script names n on stderr and exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from collections import Counter
 
 from oseq.bounds import remark_profile
-from oseq.census import CensusCounter, precritical_prefixes
+from oseq.census import CensusCounter, _fold_tails, precritical_prefixes
 from oseq.macaulay import HVector
 
 
@@ -41,21 +40,17 @@ def main() -> int:
 
     counter = CensusCounter(ceiling=max(args.max_n, 1))
     counter.count(args.max_n)  # one pass through --max-n; the loop below reads it back
-    groups: Counter[tuple[int, int, bool, bool]] = Counter()
+    # N_j(s) rows, indexed by s: every prefix, then those with each prefix flag
+    families: tuple[list[list[int]], ...] = ([], [], [], [])
     for prefix in precritical_prefixes(args.max_n):
+        j, s = len(prefix), sum(prefix)
         profile = remark_profile(HVector(prefix))
-        groups[
-            sum(prefix), len(prefix), profile.t_monotone, profile.alpha_monotone_within_t_plateaus
-        ] += 1
-
-    # bounded[r][j] = partitions of r into parts <= j
-    max_j = max((j for _, j, _, _ in groups), default=0)
-    bounded = [[1] * (max_j + 1)]
-    for r in range(1, args.max_n + 1):
-        row = [0]
-        for j in range(1, max_j + 1):
-            row.append(row[-1] + (bounded[r - j][j] if r >= j else 0))
-        bounded.append(row)
+        flags = (True, j * j < 2 * s, profile.t_monotone, profile.alpha_monotone_within_t_plateaus)
+        for rows, flag in zip(families, flags):
+            if len(rows) < j:  # preorder: the first prefix of length j follows one of j - 1
+                rows.append([0] * (args.max_n + 1))
+            rows[j - 1][s] += flag
+    totals, prefix_oks, t_oks, alpha_oks = (_fold_tails(rows, args.max_n) for rows in families)
 
     header = (
         f"{'n':>3} {'L(n)':>8} {'tail ok':>8} {'prefix ok':>9} "
@@ -63,16 +58,7 @@ def main() -> int:
     )
     print(header)
     for n in range(1, args.max_n + 1):
-        total = prefix_ok = t_ok = alpha_ok = 0
-        root = math.sqrt(2.0 * n)
-        for (s, j, t_flag, alpha_flag), prefixes in groups.items():
-            if s > n:
-                continue
-            weight = prefixes * bounded[n - s][j]
-            total += weight
-            prefix_ok += weight * (j < root)
-            t_ok += weight * t_flag
-            alpha_ok += weight * alpha_flag
+        total = totals[n]
         if total != counter.count(n):
             print(
                 f"remark_sweep: the prefix weights sum to {total} at n={n}, "
@@ -85,8 +71,8 @@ def main() -> int:
             return f"{100.0 * k / total:>6.1f}%"
 
         print(
-            f"{n:>3} {total:>8} {pct(total):>8} {pct(prefix_ok):>9} "
-            f"{pct(t_ok):>11} {pct(alpha_ok):>15}"
+            f"{n:>3} {total:>8} {pct(total):>8} {pct(prefix_oks[n]):>9} "
+            f"{pct(t_oks[n]):>11} {pct(alpha_oks[n]):>15}"
         )
     return 0
 

@@ -53,6 +53,12 @@ DEFAULT_STREAM_CAP = 100_000
 BRUTE_FORCE_CAP = 16
 
 
+def _check_ceiling(n: int, ceiling: int) -> None:
+    """Refuse a census length above ``ceiling``, before any counting."""
+    if n > ceiling:
+        raise ResourceLimitError(f"census length {n} exceeds the configured ceiling {ceiling}")
+
+
 class CensusCounter:
     """Counter of L(n) for every n up to ``ceiling``, reusable across lengths.
 
@@ -71,10 +77,7 @@ class CensusCounter:
     def count(self, n: int) -> int:
         if n < 0:
             raise ValueError(f"length must be nonnegative, got {n}")
-        if n > self.ceiling:
-            raise ResourceLimitError(
-                f"census length {n} exceeds the configured ceiling {self.ceiling}"
-            )
+        _check_ceiling(n, self.ceiling)
         if n >= len(self._counts):
             self._counts = self._count_through(n)
         return self._counts[n]
@@ -103,14 +106,23 @@ class CensusCounter:
             next_layer.reverse()
             layer = next_layer
             j += 1
-        # Horner's rule: add N_j, then divide by 1 - x^j, from the longest j down.
-        counts = [0] * (limit + 1)
-        for j in range(len(prefix_counts), 0, -1):
-            offset = limit + 1 - len(prefix_counts[j - 1])
-            counts[offset:] = map(add, counts[offset:], prefix_counts[j - 1])
-            for n in range(j, limit + 1):
-                counts[n] += counts[n - j]
-        return counts
+        return _fold_tails(prefix_counts, limit)
+
+
+def _fold_tails(prefix_counts: list[list[int]], limit: int) -> list[int]:
+    """Coefficients 0..limit of sum over j of N_j(x) / ((1 - x)(1 - x^2)...(1 - x^j)).
+
+    ``prefix_counts[j - 1]`` is N_j as a right-aligned row: entry -1 - i counts
+    sum limit - i, so a row of length limit + 1 is indexed by the sum itself.
+    Horner's rule: add N_j, then divide by 1 - x^j, from the longest j down.
+    """
+    counts = [0] * (limit + 1)
+    for j in range(len(prefix_counts), 0, -1):
+        offset = limit + 1 - len(prefix_counts[j - 1])
+        counts[offset:] = map(add, counts[offset:], prefix_counts[j - 1])
+        for n in range(j, limit + 1):
+            counts[n] += counts[n - j]
+    return counts
 
 
 def count_osequences(n: int, ceiling: int = DEFAULT_CENSUS_CEILING) -> int:

@@ -23,13 +23,14 @@ from .census import (
     DEFAULT_CENSUS_CEILING,
     DEFAULT_STREAM_CAP,
     CensusCounter,
+    _check_ceiling,
     build_census,
     count_osequences,
     enumerate_osequences,
 )
 from .errors import ResourceLimitError, TheoremViolationError
 from .macaulay import HVector, is_o_sequence
-from .partitions import build_partition_table, hardy_ramanujan
+from .partitions import _check_table_limit, build_partition_table, hardy_ramanujan
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -236,6 +237,9 @@ def _run_census(args: argparse.Namespace) -> int:
 
 
 def _run_bounds(args: argparse.Namespace) -> int:
+    # Both refusals come before either pass, the census ceiling's first.
+    _check_ceiling(args.max_n, args.cap)
+    _check_table_limit(args.max_n)
     census = build_census(args.max_n, ceiling=args.cap)
     report = build_bounds_report(census, build_partition_table(args.max_n))
     rows = report.records

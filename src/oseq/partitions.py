@@ -65,6 +65,14 @@ def _pentagonal_sum(
     return total
 
 
+def _check_table_limit(limit: int) -> None:
+    """Refuse a partition table above ``DEFAULT_TABLE_LIMIT``, before any work."""
+    if limit > DEFAULT_TABLE_LIMIT:
+        raise ResourceLimitError(
+            f"partition table limit {limit} exceeds the configured maximum {DEFAULT_TABLE_LIMIT}"
+        )
+
+
 def build_partition_table(limit: int) -> PartitionTable:
     """Tabulate p and q up to ``limit`` in O(limit^1.5) big-integer additions.
 
@@ -79,10 +87,7 @@ def build_partition_table(limit: int) -> PartitionTable:
     """
     if limit < 0:
         raise ValueError(f"table limit must be >= 0, got {limit}")
-    if limit > DEFAULT_TABLE_LIMIT:
-        raise ResourceLimitError(
-            f"partition table limit {limit} exceeds the configured maximum {DEFAULT_TABLE_LIMIT}"
-        )
+    _check_table_limit(limit)
 
     # Generalised pentagonal pairs (k(3k-1)/2, k(3k+1)/2) for k >= 1, split by
     # the parity of k: odd k adds to p(n), even k subtracts.

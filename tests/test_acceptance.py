@@ -33,7 +33,7 @@ def test_criterion_01_counter_matches_brute_force(census_counter):
         assert census_counter.count(n) == brute_force_count(n), n
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
-    _ok(1, f"layered count == brute force for n = 1..12 in {elapsed:.2f}s")
+    _ok(1, f"prefix-and-tail count == brute force for n = 1..12 in {elapsed:.2f}s")
 
 
 def test_criterion_02_small_counts_against_oracle(census_counter):

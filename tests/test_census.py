@@ -14,6 +14,7 @@ from oseq.bounds import build_bounds_report, staircase_decompose
 from oseq.census import (
     CensusCounter,
     CensusTable,
+    _fold_tails,
     brute_force_count,
     build_census,
     count_osequences,
@@ -114,6 +115,28 @@ def test_counter_ceiling():
         counter.count(201)
     with pytest.raises(ValueError):
         CensusCounter(ceiling=0)
+
+
+def partitions_with_parts_at_most(n: int, j: int) -> int:
+    """Brute force: list every partition of n into parts <= j."""
+    if n == 0:
+        return 1
+    return sum(partitions_with_parts_at_most(n - part, part) for part in range(1, min(n, j) + 1))
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+@pytest.mark.parametrize("s", [0, 4])
+def test_fold_tails_completes_a_prefix_by_bounded_partitions(j, s):
+    # N_j = x^s alone folds to the partitions of n - s into parts <= j. With
+    # s = 0 every row spans the full width (the sweep's shape); otherwise the
+    # rows are shorter and right-aligned, the first one empty (the census's).
+    limit = 30
+    if s == 0:
+        rows = [[0] * (limit + 1) for _ in range(j - 1)] + [[1] + [0] * limit]
+    else:
+        rows = [[0] * i for i in range(j - 1)] + [[1] + [0] * (limit - s)]
+    expected = [partitions_with_parts_at_most(n - s, j) if n >= s else 0 for n in range(limit + 1)]
+    assert _fold_tails(rows, limit) == expected
 
 
 # Recorded from the memoized recursive counter that preceded the layered DP.

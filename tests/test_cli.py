@@ -18,6 +18,7 @@ import sys
 import jsonschema
 import pytest
 
+import oseq.census
 from oseq.bounds import check_prefix_bound, remark_profile, verify_tail_partition
 from oseq.census import CensusCounter, CensusTable, enumerate_osequences
 from oseq.cli import main
@@ -269,6 +270,21 @@ def test_theorem_violation_exits_three(capsys, monkeypatch):
     assert err == "internal error (bug): lower bound p(n-1) <= count failed at n=3: 2 > 1\n"
 
 
+def test_bounds_refuses_both_limits_before_any_pass(capsys, monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass started before the refusal")
+
+    monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
+    monkeypatch.setattr("oseq.cli.build_partition_table", no_pass)
+    code, out, err = run_cli(capsys, "bounds", "--max-n", "100001", "--cap", "200000")
+    assert (code, out) == (2, "")
+    assert err == "error: partition table limit 100001 exceeds the configured maximum 100000\n"
+    # over both limits, the census ceiling is named
+    code, out, err = run_cli(capsys, "bounds", "--max-n", "100001")
+    assert (code, out) == (2, "")
+    assert err == "error: census length 100001 exceeds the configured ceiling 1000\n"
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -494,6 +510,21 @@ def test_remark_sweep_exits_three_when_weights_miss_the_census(capsys, monkeypat
     assert excinfo.value.code == 3
     err = capsys.readouterr().err
     assert "n=1" in err
+
+
+def test_remark_sweep_exits_three_when_the_walk_drops_a_prefix(capsys, monkeypatch):
+    # The census counts its prefixes by rows, not by the walk, so a prefix the
+    # walk loses shows up as a mismatch at its sum: (1, 2) first completes n=3.
+    walk = oseq.census.precritical_prefixes
+    monkeypatch.setattr(
+        oseq.census, "precritical_prefixes", lambda limit: (p for p in walk(limit) if p != (1, 2))
+    )
+    monkeypatch.setattr(sys, "argv", [str(SWEEP_PATH), "--max-n", "5"])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(str(SWEEP_PATH), run_name="__main__")
+    assert excinfo.value.code == 3
+    err = capsys.readouterr().err
+    assert "n=3" in err
 
 
 # ---------------------------------------------------------------------------
