@@ -21,6 +21,13 @@ Horner's rule, dividing by 1 - x^j from the longest prefix length down.
 Sums stop at the limit of the pass, so a pass to N is exact for every
 n <= N.
 
+Enumeration walks the same split: each pre-critical prefix is followed by
+every partition of the rest into parts <= j. Those partitions depend only on
+(j, m), m the rest, so one call builds each such list once and streams it
+as a block with every prefix that shares the key; the CLI renders each
+prefix and each tail once, by block, rather than each sequence entry by
+entry.
+
 An independent generate-and-test oracle (every composition, filtered by the
 validity test) cross-checks the counter at desk scale; the two share no
 code besides ``is_o_sequence``.
@@ -166,6 +173,74 @@ def precritical_prefixes(limit: int) -> Iterator[tuple[int, ...]]:
         total += 1
 
 
+def _tails(m: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """Every partition of m into parts <= j, in ascending lexicographic order.
+
+    Each partition is a nonincreasing tuple; m = 0 has the one empty partition.
+    """
+    seq = [1] * m
+    tails = [tuple(seq)]
+    while seq:
+        # Successor: pop trailing entries until one can rise by 1 and stay
+        # <= its left neighbour (<= j for the first entry), raise it and
+        # refill what it leaves behind with 1s.
+        rest = seq.pop()
+        while seq and seq[-1] == (seq[-2] if len(seq) > 1 else j):
+            rest += seq.pop()
+        if not seq:
+            break
+        seq[-1] += 1
+        seq += [1] * (rest - 1)
+        tails.append(tuple(seq))
+    return tuple(tails)
+
+
+def _osequence_blocks(
+    n: int,
+    cap: int = DEFAULT_STREAM_CAP,
+    counter: CensusCounter | None = None,
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """Yield every O-sequence of length n as blocks ``(prefix, tails)``.
+
+    The blocks follow ``precritical_prefixes(n)``; ``tails`` lists, by
+    ``_tails``, the partitions of m = n - sum(prefix) into parts <= j =
+    len(prefix), so ``prefix + tail`` over the blocks in order, then over
+    their tails, is every O-sequence of length n in lexicographic order. Each
+    tuple of tails is built once per (j, m) in one call and shared by every
+    prefix with that key. The canonical form of ``HVector`` is checked once
+    per prefix and once per tail built; a concatenation passes exactly when
+    both pieces do.
+
+    The exact count is computed first, by ``counter`` (a fresh counter with
+    the default ceiling when none is given); if it exceeds ``cap`` the
+    stream is refused with an EnumerationCapError carrying the count, at
+    call time, before anything is iterated.
+    """
+    if n < 1:
+        raise ValueError(f"length must be >= 1, got {n}")
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    if counter is None:
+        counter = CensusCounter()
+    total = counter.count(n)
+    if total > cap:
+        raise EnumerationCapError(n=n, count=total, cap=cap)
+
+    def walk() -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+        built: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+        for prefix in precritical_prefixes(n):
+            HVector(prefix)  # canonical form, or ValueError
+            key = (len(prefix), n - sum(prefix))
+            tails = built.get(key)
+            if tails is None:
+                tails = built[key] = _tails(key[1], key[0])
+                for tail in tails:
+                    HVector((1, *tail))
+            yield prefix, tails
+
+    return walk()
+
+
 def enumerate_osequences(
     n: int,
     cap: int = DEFAULT_STREAM_CAP,
@@ -183,37 +258,13 @@ def enumerate_osequences(
     each prefix, yields the prefix followed by every such partition in
     ascending lexicographic order before moving on to the prefix's
     children, whose next entry exceeds j. That is plain lexicographic
-    order over the whole stream.
+    order over the whole stream. The partitions of each (j, n - s) are
+    built once per call and shared by every prefix with that key: this is
+    the flattening of ``_osequence_blocks``, which the CLI renders block by
+    block.
     """
-    if n < 1:
-        raise ValueError(f"length must be >= 1, got {n}")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    if counter is None:
-        counter = CensusCounter()
-    total = counter.count(n)
-    if total > cap:
-        raise EnumerationCapError(n=n, count=total, cap=cap)
-
-    def walk() -> Iterator[HVector]:
-        for prefix in precritical_prefixes(n):
-            j = len(prefix)
-            seq = [*prefix, *[1] * (n - sum(prefix))]
-            yield HVector(tuple(seq))
-            while len(seq) > j:
-                # Successor of the tail: pop trailing entries until one can rise
-                # by 1 and stay <= its left neighbour (<= j for the first tail
-                # entry), raise it and refill what it leaves behind with 1s.
-                rest = seq.pop()
-                while len(seq) > j and seq[-1] == (seq[-2] if len(seq) > j + 1 else j):
-                    rest += seq.pop()
-                if len(seq) == j:
-                    break
-                seq[-1] += 1
-                seq += [1] * (rest - 1)
-                yield HVector(tuple(seq))
-
-    return walk()
+    blocks = _osequence_blocks(n, cap, counter)
+    return (HVector(prefix + tail) for prefix, tails in blocks for tail in tails)
 
 
 def _compositions(total: int) -> Iterator[tuple[int, ...]]:

@@ -24,9 +24,9 @@ from .census import (
     DEFAULT_STREAM_CAP,
     CensusCounter,
     _check_ceiling,
+    _osequence_blocks,
     build_census,
     count_osequences,
-    enumerate_osequences,
 )
 from .errors import ResourceLimitError, TheoremViolationError
 from .macaulay import HVector, is_o_sequence
@@ -118,8 +118,10 @@ class _Output:
     follow them in JSON as a list under that key and are the CSV rows;
     without one, ``head`` is the single CSV row. ``columns`` names the CSV
     cells, read from each dict record; a record that is not a dict is its
-    row's one cell. ``lines`` is the table. ``records`` and ``lines`` may
-    be generators: only the one the format needs is consumed.
+    row's one cell. A record that is a ``str`` is already its row in the
+    output format (a CSV line, a JSON value) and is written as is; records
+    are either all strings or none. ``lines`` is the table. ``records`` and
+    ``lines`` may be generators: only the one the format needs is consumed.
     """
 
     head: dict[str, Any]
@@ -130,6 +132,8 @@ class _Output:
 
 
 def _cell(value: Any) -> str:
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -162,7 +166,7 @@ def _render(output: _Output, fmt: str) -> None:
         write(_json({**output.head, output.key: []})[:-2])
         separator = ""
         for chunk in _chunks(output.records):
-            write(separator + _json(chunk)[1:-1])
+            write(separator + (",".join(chunk) if isinstance(chunk[0], str) else _json(chunk)[1:-1]))
             separator = ","
         write("]}\n")
         return
@@ -206,15 +210,36 @@ def _run_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# How one sequence is written as a row: opening bracket, separator, closing bracket.
+_SEQUENCE_ROW = {"table": ("", ",", ""), "csv": ("", " ", ""), "json": ("[", ",", "]")}
+
+
 def _run_enumerate(args: argparse.Namespace) -> int:
     counter = CensusCounter()
-    sequences = enumerate_osequences(args.n, cap=args.cap, counter=counter)
+    blocks = _osequence_blocks(args.n, cap=args.cap, counter=counter)
+    opening, separator, closing = _SEQUENCE_ROW[args.fmt]
+
+    def rows() -> Iterator[str]:
+        # Each prefix's text is made once, and each tail's once per (j, m),
+        # with its leading separator and the closing bracket.
+        texts: dict[tuple[int, int], list[str]] = {}
+        for prefix, tails in blocks:
+            key = (len(prefix), args.n - sum(prefix))
+            tail_texts = texts.get(key)
+            if tail_texts is None:
+                tail_texts = texts[key] = [
+                    "".join(separator + str(part) for part in tail) + closing for tail in tails
+                ]
+            yield from map((opening + separator.join(map(str, prefix))).__add__, tail_texts)
+
+    # The rows are already in the chosen format, so lines and records are one stream.
+    sequences = rows()
     output = _Output(
         head={"n": args.n, "count": str(counter.count(args.n))},
         columns=("sequence",),
-        lines=(",".join(map(str, h.entries)) for h in sequences),
+        lines=sequences,
         key="sequences",
-        records=(h.entries for h in sequences),
+        records=sequences,
     )
     _render(output, args.fmt)
     return EXIT_OK

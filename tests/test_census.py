@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from collections import Counter
@@ -15,6 +16,7 @@ from oseq.census import (
     CensusCounter,
     CensusTable,
     _fold_tails,
+    _tails,
     brute_force_count,
     build_census,
     count_osequences,
@@ -304,6 +306,42 @@ def test_enumerate_has_no_recursion_depth_cliff():
     # The walk is one stack entry per entry of the sequence, not one frame.
     first = next(enumerate_osequences(3000, counter=_OneSequenceCounter()))
     assert first.entries == (1,) * 3000
+
+
+def test_tails_are_the_bounded_partitions_in_lex_order():
+    # Oracle: every nonincreasing tuple of parts in 2..j (itertools lists
+    # them), padded with 1s up to each total m, sorted.
+    limit = 20
+    for j in range(1, 9):
+        oracle = {m: [] for m in range(limit + 1)}
+        for r in range(limit // 2 + 1):
+            for big in itertools.combinations_with_replacement(range(j, 1, -1), r):
+                for m in range(sum(big), limit + 1):
+                    oracle[m].append(big + (1,) * (m - sum(big)))
+        for m in range(limit + 1):
+            assert list(_tails(m, j)) == sorted(oracle[m]), (m, j)
+    assert _tails(0, 3) == ((),)
+    assert _tails(5, 1) == ((1, 1, 1, 1, 1),)
+    assert _tails(3, 7) == ((1, 1, 1), (2, 1), (3,))
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        ("precritical_prefixes", "h_0 must be 1, got 2"),
+        ("_tails", "all entries must be positive"),
+    ],
+)
+def test_enumerate_checks_each_piece_on_the_cli_path(monkeypatch, plant, message):
+    # A bad prefix, or a bad tail, reaches no output: the block walk checks
+    # the canonical form of each piece, which the CLI path does not redo.
+    bad = {
+        "precritical_prefixes": lambda limit: iter([(2, 3)]),
+        "_tails": lambda m, j: ((0,) * m,),
+    }[plant]
+    monkeypatch.setattr(f"oseq.census.{plant}", bad)
+    with pytest.raises(ValueError, match=message):
+        main(["enumerate", "--n", "5"])
 
 
 def test_count_monotone_in_total(census_table):

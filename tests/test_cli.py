@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import pathlib
 import runpy
@@ -22,7 +24,6 @@ import oseq.census
 from oseq.bounds import check_prefix_bound, remark_profile, verify_tail_partition
 from oseq.census import CensusCounter, CensusTable, enumerate_osequences
 from oseq.cli import main
-from oseq.macaulay import HVector
 from oseq.partitions import build_partition_table
 
 KNOWN_COUNTS = [1, 1, 2, 3, 5, 8, 12, 18, 27, 40, 57, 82]
@@ -141,7 +142,7 @@ def test_enumerate_streams_before_the_last_sequence(monkeypatch):
     def many(n, **kwargs):
         for i in range(total):
             pulled.append(i)
-            yield HVector((1, n - 1))
+            yield (1, n - 1), ((),)
 
     writes = []
 
@@ -151,11 +152,40 @@ def test_enumerate_streams_before_the_last_sequence(monkeypatch):
             return super().write(text)
 
     spy = Spy()
-    monkeypatch.setattr("oseq.cli.enumerate_osequences", many)
+    monkeypatch.setattr("oseq.cli._osequence_blocks", many)
     monkeypatch.setattr(sys, "stdout", spy)
     assert main(["enumerate", "--n", "3"]) == 0
     assert writes and writes[0] < total
     assert spy.getvalue() == "1,2\n" * total
+
+
+def _growth_bound(a: int, d: int) -> int:
+    """a^<d>, from the greedy binomial expansion of a in degree d."""
+    bound = 0
+    while a and d:
+        top = d
+        while math.comb(top + 1, d) <= a:
+            top += 1
+        a -= math.comb(top, d)
+        bound += math.comb(top + 1, d + 1)
+        d -= 1
+    return bound
+
+
+def test_enumerate_table_matches_filtered_compositions(capsys):
+    # Independent of the prefix walk: every 1-prefixed composition of n, cut
+    # at each subset of the inner points, kept when each entry obeys the
+    # growth bound of the one before it.
+    for n in range(1, 15):
+        expected = []
+        for r in range(n):
+            for cuts in itertools.combinations(range(2, n), r):
+                seq = [b - a for a, b in itertools.pairwise(sorted({0, 1, *cuts, n}))]
+                if all(seq[i + 1] <= _growth_bound(seq[i], i) for i in range(1, len(seq) - 1)):
+                    expected.append(tuple(seq))
+        code, out, err = run_cli(capsys, "enumerate", "--n", str(n))
+        assert (code, err) == (0, "")
+        assert out == "".join(",".join(map(str, seq)) + "\n" for seq in sorted(expected)), n
 
 
 def test_enumerate_cap_refusal(capsys):
@@ -404,6 +434,9 @@ PINNED_OUTPUTS = [
     ("enumerate --n 5 --format table", 0, "0e4167ffe836356b1c28bd39f420d88868f409f2970f9ad521984279cb37a08c"),
     ("enumerate --n 5 --format csv", 0, "0a4ffc31048c1fc01004ef82493fd24087c00570048fc11979ad88a9edb50e77"),
     ("enumerate --n 5 --format json", 0, "254d4f36ad5780ec76c2b1e49e088136b1dd33aa2874c8acbdaed5b3ee80a5ce"),
+    ("enumerate --n 30 --format table", 0, "6afe19a62b584e6f41c65dfa954b0413fe57ebb624a0423ce43dcdb00e2cc745"),
+    ("enumerate --n 30 --format csv", 0, "0045096a3f5b45e10e3678e58a3fcbbfc71acb8af76c33869be64aa995faae3f"),
+    ("enumerate --n 30 --format json", 0, "ef44323f3d77094b06b678a05816f465505766e4533e46c551f8d8ca6f8c6273"),
     ("census --max-n 12 --format table", 0, "0338ce6550e7a136c22fe2df41f0442b72b972b858c7dd896e6553a6d9dc0cbd"),
     ("census --max-n 12 --format csv", 0, "edb302ba60935432adf9742d027a13a3c03433045b5f710dfb00a27f62f310b8"),
     ("census --max-n 12 --format json", 0, "3b6c09901aac748f2bcc56e5a0b0f3482e6adf89c7b4b87a4c043aecc826fc7a"),
