@@ -28,6 +28,7 @@ import sys
 
 from oseq.bounds import remark_profile
 from oseq.census import CensusCounter, _fold_tails, precritical_prefixes
+from oseq.errors import ResourceLimitError
 from oseq.macaulay import HVector
 
 
@@ -38,7 +39,10 @@ def main() -> int:
     if args.max_n < 0:
         parser.error("--max-n must be >= 0")
 
-    counter = CensusCounter(ceiling=max(args.max_n, 1))
+    try:
+        counter = CensusCounter(ceiling=max(args.max_n, 1))
+    except ResourceLimitError as exc:
+        parser.error(str(exc))
     counter.count(args.max_n)  # one pass through --max-n; the loop below reads it back
     # N_j(s) rows, indexed by s: every prefix, then those with each prefix flag
     families: tuple[list[list[int]], ...] = ([], [], [], [])

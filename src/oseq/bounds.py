@@ -14,7 +14,7 @@ of entries in the pre-critical window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .census import CensusTable
 from .errors import TheoremViolationError
@@ -65,8 +65,7 @@ def check_prefix_bound(h: HVector) -> bool:
     return critical_index(h) < math.sqrt(2.0 * h.total)
 
 
-@dataclass(frozen=True)
-class BoundsRecord:
+class BoundsRecord(NamedTuple):
     """One length's count with its lower and upper bound data.
 
     ``count`` is exact; ``lower`` is p(n-1). ``log_upper`` is
@@ -85,8 +84,7 @@ class BoundsRecord:
     upper_ok: bool
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     records: tuple[BoundsRecord, ...]
     c1_min: float | None
     c2_max: float | None
@@ -142,8 +140,7 @@ def build_bounds_report(census: CensusTable, partitions: PartitionTable) -> Boun
     return BoundsReport(records=tuple(records), c1_min=c1_min, c2_max=c2_max)
 
 
-@dataclass(frozen=True)
-class StaircaseDecomposition:
+class StaircaseDecomposition(NamedTuple):
     """h_i written as (i+1) + i + ... + (i-t+1) plus a remainder alpha.
 
     Equivalently a sum of t + 1 consecutive binomials C(m+1, m) starting at
@@ -183,8 +180,7 @@ def staircase_decompose(value: int, degree: int) -> StaircaseDecomposition | Non
     return StaircaseDecomposition(degree=degree, t=t, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class RemarkReport:
+class RemarkReport(NamedTuple):
     """Staircase profile of the pre-critical window of one sequence.
 
     ``decompositions`` holds one (degree, decomposition-or-None) pair for

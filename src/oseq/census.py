@@ -35,9 +35,8 @@ code besides ``is_o_sequence``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import EnumerationCapError, ResourceLimitError
 from .macaulay import HVector, is_o_sequence, pseudopower
@@ -56,6 +55,9 @@ __all__ = [
 ]
 
 DEFAULT_CENSUS_CEILING = 1000
+# The largest ceiling a counter accepts. A pass to N holds about N^2 cells:
+# `oseq count --n 6000 --cap 6000` peaks at about 400 MiB (2-CPU x86, Python 3.11).
+_MAX_CENSUS_CEILING = 6000
 DEFAULT_STREAM_CAP = 100_000
 BRUTE_FORCE_CAP = 16
 
@@ -72,12 +74,17 @@ class CensusCounter:
     By convention no sequence sums to 0 (h_0 = 1 is mandatory), so
     ``count(0)`` is 0. A request beyond the lengths already counted recounts
     every length up to exactly that one in one prefix-and-tail pass; later
-    requests within that range are table lookups.
+    requests within that range are table lookups. A ceiling above
+    ``_MAX_CENSUS_CEILING`` is refused when the counter is made.
     """
 
     def __init__(self, ceiling: int = DEFAULT_CENSUS_CEILING) -> None:
         if ceiling < 1:
             raise ValueError("ceiling must be positive")
+        if ceiling > _MAX_CENSUS_CEILING:
+            raise ResourceLimitError(
+                f"census ceiling {ceiling} exceeds the hard maximum {_MAX_CENSUS_CEILING}"
+            )
         self.ceiling = ceiling
         self._counts = [0]  # _counts[n] = L(n)
 
@@ -294,8 +301,7 @@ def brute_force_count(n: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class CensusTable:
+class CensusTable(NamedTuple):
     """Computed counts for every length 1..max_n."""
 
     records: dict[int, int]

@@ -14,9 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .bounds import build_bounds_report, remark_profile
 from .census import (
@@ -110,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass(frozen=True)
-class _Output:
+class _Output(NamedTuple):
     """What one command prints, in every format.
 
     ``head`` holds the JSON top-level fields. With a ``key``, ``records``

@@ -13,9 +13,8 @@ validity decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "HVector",
@@ -39,7 +38,6 @@ def binomial(m: int, k: int) -> int:
     return math.comb(m, k)
 
 
-@dataclass(frozen=True)
 class HVector:
     """A candidate sequence (h_0, ..., h_e) in canonical form.
 
@@ -47,18 +45,42 @@ class HVector:
     condition is NOT enforced here, so an HVector may still fail
     ``is_o_sequence``. Zero entries are rejected outright: a zero forces all
     later entries to zero, so canonical sequences simply stop at the last
-    positive entry.
+    positive entry. An HVector is immutable and compares and hashes by its
+    entries.
     """
 
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        if not entries:
             raise ValueError("an h-vector has at least the entry h_0 = 1")
-        if self.entries[0] != 1:
-            raise ValueError(f"h_0 must be 1, got {self.entries[0]}")
-        if min(self.entries) < 1:
+        if entries[0] != 1:
+            raise ValueError(f"h_0 must be 1, got {entries[0]}")
+        if min(entries) < 1:
             raise ValueError("all entries must be positive")
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable HVector")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable HVector")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"HVector(entries={self.entries!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return self.__class__, (self.entries,)
 
     @property
     def top_degree(self) -> int:
@@ -79,8 +101,7 @@ class HVector:
         return self.entries[i]
 
 
-@dataclass(frozen=True)
-class MacaulayExpansion:
+class MacaulayExpansion(NamedTuple):
     """The degree-d binomial representation of a positive integer.
 
     ``terms`` is a sequence of (top_index, degree) pairs with degrees
@@ -157,8 +178,7 @@ def pseudopower(a: int, d: int) -> int:
     return macaulay_expand(a, d).lift()
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     """Outcome of the O-sequence test.
 
     ``first_violation`` is only set for growth violations and names the

@@ -11,7 +11,6 @@ e^(pi*sqrt(2n/3)) would overflow a double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ResourceLimitError, TheoremViolationError
@@ -29,8 +28,7 @@ __all__ = [
 DEFAULT_TABLE_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
-class PartitionTable:
+class PartitionTable(NamedTuple):
     """Exact values p(0..limit) and q(0..limit)."""
 
     limit: int
@@ -119,8 +117,7 @@ def build_partition_table(limit: int) -> PartitionTable:
     return PartitionTable(limit=limit, p_values=tuple(p), q_values=tuple(q))
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     """Hardy-Ramanujan estimate for p(n), optionally in log space.
 
     ``ratio`` is p(n)/estimate when an exact table covering n was supplied;

@@ -13,6 +13,7 @@ import pytest
 
 from oseq.bounds import build_bounds_report, staircase_decompose
 from oseq.census import (
+    _MAX_CENSUS_CEILING,
     CensusCounter,
     CensusTable,
     _fold_tails,
@@ -117,6 +118,16 @@ def test_counter_ceiling():
         counter.count(201)
     with pytest.raises(ValueError):
         CensusCounter(ceiling=0)
+
+
+def test_counter_hard_maximum():
+    # the census-to-2000 fixture needs at least 2000
+    assert _MAX_CENSUS_CEILING >= 2000
+    assert CensusCounter(ceiling=_MAX_CENSUS_CEILING).ceiling == _MAX_CENSUS_CEILING
+    with pytest.raises(ResourceLimitError, match="hard maximum"):
+        CensusCounter(ceiling=_MAX_CENSUS_CEILING + 1)
+    with pytest.raises(ResourceLimitError, match="hard maximum"):
+        count_osequences(5, ceiling=_MAX_CENSUS_CEILING + 1)
 
 
 def partitions_with_parts_at_most(n: int, j: int) -> int:

@@ -22,7 +22,7 @@ import pytest
 
 import oseq.census
 from oseq.bounds import check_prefix_bound, remark_profile, verify_tail_partition
-from oseq.census import CensusCounter, CensusTable, enumerate_osequences
+from oseq.census import _MAX_CENSUS_CEILING, CensusCounter, CensusTable, enumerate_osequences
 from oseq.cli import main
 from oseq.partitions import build_partition_table
 
@@ -43,6 +43,11 @@ def check_json(schema_dir, name: str, out: str) -> dict:
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema(schema_dir, name))
     return payload
+
+
+def no_pass(*args, **kwargs):
+    """Stands in for a pass that a refusal must come before."""
+    raise AssertionError("a pass started before the refusal")
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +239,19 @@ def test_count_refuses_past_default_ceiling(capsys):
     assert "ceiling 1000" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("count", "--n", "5"), ("census", "--max-n", "5"), ("bounds", "--max-n", "5")],
+    ids=["count", "census", "bounds"],
+)
+def test_ceiling_above_the_hard_maximum_exits_two_before_any_pass(capsys, monkeypatch, argv):
+    monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
+    cap = str(_MAX_CENSUS_CEILING + 1)
+    code, out, err = run_cli(capsys, *argv, "--cap", cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: census ceiling {cap} exceeds the hard maximum {_MAX_CENSUS_CEILING}\n"
+
+
 def test_census_ignores_planted_cache_file(capsys, tmp_path, monkeypatch):
     # the census is always recounted: neither an option nor the former
     # environment variable can feed it stored values
@@ -301,9 +319,6 @@ def test_theorem_violation_exits_three(capsys, monkeypatch):
 
 
 def test_bounds_refuses_both_limits_before_any_pass(capsys, monkeypatch):
-    def no_pass(*args, **kwargs):
-        raise AssertionError("a pass started before the refusal")
-
     monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
     monkeypatch.setattr("oseq.cli.build_partition_table", no_pass)
     code, out, err = run_cli(capsys, "bounds", "--max-n", "100001", "--cap", "200000")
@@ -503,6 +518,17 @@ def test_remark_sweep_refuses_negative_max_n():
     assert b"--max-n must be >= 0" in done.stderr
 
 
+def test_remark_sweep_refuses_a_ceiling_above_the_hard_maximum(capsys, monkeypatch):
+    monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
+    monkeypatch.setattr(sys, "argv", [str(SWEEP_PATH), "--max-n", str(_MAX_CENSUS_CEILING + 1)])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(str(SWEEP_PATH), run_name="__main__")
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exceeds the hard maximum {_MAX_CENSUS_CEILING}" in captured.err
+
+
 def per_sequence_sweep(max_n: int) -> str:
     """Reference sweep: the per-sequence loop the script ran before it weighted prefixes."""
     counter = CensusCounter(ceiling=max(max_n, 1))
@@ -558,6 +584,22 @@ def test_remark_sweep_exits_three_when_the_walk_drops_a_prefix(capsys, monkeypat
     assert excinfo.value.code == 3
     err = capsys.readouterr().err
     assert "n=3" in err
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
+    # Start-up cost: dataclasses imports inspect, which imports ast, dis and tokenize.
+    env = {**os.environ, "PYTHONPATH": "src"}
+    probe = "import oseq.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=SWEEP_PATH.parent.parent, env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,42 @@ def test_partition_goldens_through_10000(table_10000):
     assert table_10000.q(10000) == GOLDEN_Q_10000
 
 
+# Oracles over the whole 10 000 table that share no code with the pentagonal
+# recurrence: Ramanujan's congruences, Euler's divisor-sum recurrence and
+# P(x) = Q(x) P(x^2), the last tying q to p (Andrews, The Theory of Partitions).
+
+
+@pytest.mark.parametrize("modulus, residue", [(5, 4), (7, 5), (11, 6)])
+def test_ramanujan_congruences_through_10000(table_10000, modulus, residue):
+    p_values = table_10000.p_values
+    missed = [n for n in range(residue, len(p_values), modulus) if p_values[n] % modulus]
+    assert missed == []
+
+
+def divisor_sums(limit: int) -> list[int]:
+    """sigma(k) for k = 0..limit by a sieve over the divisors."""
+    sigma = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        for multiple in range(d, limit + 1, d):
+            sigma[multiple] += d
+    return sigma
+
+
+def test_euler_divisor_sum_recurrence_through_10000(table_10000):
+    # n p(n) = sum over 1 <= k <= n of sigma(k) p(n - k)
+    p_values = table_10000.p_values
+    sigma = divisor_sums(10000)
+    for n in (1, 2, 7, 60, 499, 1001, 2024, 4999, 7776, 9999, 10000):
+        assert n * p_values[n] == sum(sigma[k] * p_values[n - k] for k in range(1, n + 1)), n
+
+
+def test_p_is_q_times_p_of_half_through_10000(table_10000):
+    # P(x) = Q(x) P(x^2): p(n) = sum over 0 <= 2m <= n of q(n - 2m) p(m)
+    p_values, q_values = table_10000.p_values, table_10000.q_values
+    for n in (1, 2, 3, 10, 101, 500, 4097, 8192, 9999, 10000):
+        assert p_values[n] == sum(q_values[n - 2 * m] * p_values[m] for m in range(n // 2 + 1)), n
+
+
 def test_q_matches_direct_enumeration(partition_table):
     for n in range(16):
         distinct = sum(
@@ -201,7 +237,7 @@ def test_write_csv_exact_output(capsys):
 
 def test_pq_guard_trips_on_corrupt_table(partition_table):
     broken = build_partition_table(10)
-    object.__setattr__(broken, "q_values", tuple([*broken.q_values[:5], 999, *broken.q_values[6:]]))
+    broken = broken._replace(q_values=tuple([*broken.q_values[:5], 999, *broken.q_values[6:]]))
     with pytest.raises(TheoremViolationError):
         check_pq_inequality(10, table=broken)
 
@@ -210,6 +246,6 @@ def test_pq_guard_trips_on_lost_strictness():
     broken = build_partition_table(10)
     q_values = list(broken.q_values)
     q_values[4] = broken.p_values[3]  # q(4) = p(3) = 3, where p(n-1) > q(n) must be strict
-    object.__setattr__(broken, "q_values", tuple(q_values))
+    broken = broken._replace(q_values=tuple(q_values))
     with pytest.raises(TheoremViolationError, match="strictness .* wrong at n=4"):
         check_pq_inequality(10, table=broken)
