@@ -19,6 +19,14 @@ family into per-n sequence counts. The tail is a partition by construction;
 what backs "tail ok" instead is that the folded totals equal the census
 count L(n), whose prefixes come from its rows, not from this walk. A
 mismatch is a bug: the script names n on stderr and exits 3.
+
+The staircase flags of a prefix are those of its parent (the prefix less its
+last entry) updated by one decomposition, of that last entry. The walk is in
+preorder, so the parent's state is the top of a stack indexed by prefix
+length: its last defined (t, alpha) and its two flags. A new defined pair
+keeps "t monotone" when t does not rise from the last one, and "alpha
+monotone" when alpha does not rise while t stays the same, which is what
+``remark_profile`` grades over the whole window.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from oseq.bounds import remark_profile
+from oseq.bounds import StaircaseDecomposition, staircase_decompose
 from oseq.census import CensusCounter, _fold_tails, precritical_prefixes
 from oseq.errors import ResourceLimitError
 from oseq.macaulay import HVector
@@ -46,14 +54,29 @@ def main() -> int:
     counter.count(args.max_n)  # one pass through --max-n; the loop below reads it back
     # N_j(s) rows, indexed by s: every prefix, then those with each prefix flag
     families: tuple[list[list[int]], ...] = ([], [], [], [])
+    everything, prefix_ok, t_monotone, alpha_monotone = families
+    # states[j - 1] is the state of the current prefix of length j: its last
+    # defined staircase decomposition (None if none is) and its two flags
+    states: list[tuple[StaircaseDecomposition | None, bool, bool]] = []
     for prefix in precritical_prefixes(args.max_n):
+        HVector(prefix)  # canonical form, or ValueError
         j, s = len(prefix), sum(prefix)
-        profile = remark_profile(HVector(prefix))
-        flags = (True, j * j < 2 * s, profile.t_monotone, profile.alpha_monotone_within_t_plateaus)
-        for rows, flag in zip(families, flags):
-            if len(rows) < j:  # preorder: the first prefix of length j follows one of j - 1
+        del states[j - 1 :]
+        last, t_ok, alpha_ok = states[-1] if states else (None, True, True)
+        d = staircase_decompose(prefix[-1], j - 1) if j > 1 else None
+        if d is not None:
+            if last is not None:
+                t_ok = t_ok and last.t >= d.t
+                alpha_ok = alpha_ok and (last.t != d.t or last.alpha >= d.alpha)
+            last = d
+        states.append((last, t_ok, alpha_ok))
+        if len(everything) < j:  # preorder: the first prefix of length j follows one of j - 1
+            for rows in families:
                 rows.append([0] * (args.max_n + 1))
-            rows[j - 1][s] += flag
+        everything[j - 1][s] += 1
+        prefix_ok[j - 1][s] += j * j < 2 * s
+        t_monotone[j - 1][s] += t_ok
+        alpha_monotone[j - 1][s] += alpha_ok
     totals, prefix_oks, t_oks, alpha_oks = (_fold_tails(rows, args.max_n) for rows in families)
 
     header = (

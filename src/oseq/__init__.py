@@ -1,22 +1,35 @@
 """Exact counting, validation, and bound checking for O-sequences.
 
 The package exports every public name of its library modules; each module's
-``__all__`` is the one list of them.
+``__all__`` is the one list of them. Importing the package loads none of
+them: a module loads when it is first imported or read as
+``oseq.<module>``, and the first read of any other name (``oseq.HVector``,
+``oseq.__all__``, ``from oseq import *``, ``dir(oseq)``) loads all five and
+binds their public names here. So ``python -m oseq.cli`` and the scripts
+load only the modules they use.
 """
 
-from . import bounds, census, errors, macaulay, partitions
-from .bounds import *
-from .census import *
-from .errors import *
-from .macaulay import *
-from .partitions import *
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *bounds.__all__,
-    *census.__all__,
-    *errors.__all__,
-    *macaulay.__all__,
-    *partitions.__all__,
-]
+_MODULES = ("bounds", "census", "errors", "macaulay", "partitions")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return import_module(f"{__name__}.{name}")
+    if "__all__" not in globals() and (name == "__all__" or not name.startswith("__")):
+        names: list[str] = []
+        for module in (import_module(f"{__name__}.{m}") for m in _MODULES):
+            globals().update((public, getattr(module, public)) for public in module.__all__)
+            names += module.__all__
+        globals()["__all__"] = names
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

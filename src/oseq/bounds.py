@@ -14,12 +14,14 @@ of entries in the pre-critical window.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .census import CensusTable
 from .errors import TheoremViolationError
 from .macaulay import HVector, pseudopower
-from .partitions import PartitionTable
+
+if TYPE_CHECKING:  # annotations only: importing bounds does not load partitions
+    from .census import CensusTable
+    from .partitions import PartitionTable
 
 __all__ = [
     "UPPER_BOUND_RELATIVE_SLACK",

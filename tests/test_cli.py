@@ -164,6 +164,20 @@ def test_enumerate_streams_before_the_last_sequence(monkeypatch):
     assert spy.getvalue() == "1,2\n" * total
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_enumerate_blocks_survive_chunk_boundaries(capsys, monkeypatch, fmt):
+    # Each record is a whole prefix block; a write of 1 or 3 of them must
+    # join them with the same row separator a block uses inside.
+    argv = ("enumerate", "--n", "12", "--format", fmt)
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = json.loads(expected)["sequences"] if fmt == "json" else expected.splitlines()[fmt == "csv" :]
+    assert len(rows) == KNOWN_COUNTS[11]
+    for chunk in (1, 3):
+        monkeypatch.setattr("oseq.cli._CHUNK", chunk)
+        assert run_cli(capsys, *argv) == (0, expected, ""), chunk
+
+
 def _growth_bound(a: int, d: int) -> int:
     """a^<d>, from the greedy binomial expansion of a in degree d."""
     bound = 0
@@ -320,7 +334,7 @@ def test_theorem_violation_exits_three(capsys, monkeypatch):
 
 def test_bounds_refuses_both_limits_before_any_pass(capsys, monkeypatch):
     monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
-    monkeypatch.setattr("oseq.cli.build_partition_table", no_pass)
+    monkeypatch.setattr("oseq.partitions.build_partition_table", no_pass)
     code, out, err = run_cli(capsys, "bounds", "--max-n", "100001", "--cap", "200000")
     assert (code, out) == (2, "")
     assert err == "error: partition table limit 100001 exceeds the configured maximum 100000\n"
@@ -373,7 +387,7 @@ def test_partitions_overflow_refused_before_the_table(capsys, monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("the table is built before the overflow check")
 
-    monkeypatch.setattr("oseq.cli.build_partition_table", no_table)
+    monkeypatch.setattr("oseq.partitions.build_partition_table", no_table)
     code, out, err = run_cli(capsys, "partitions", "--max-n", "100000")
     assert code == 2
     assert out == ""
@@ -386,8 +400,8 @@ def test_partitions_csv_needs_no_estimate(capsys, monkeypatch):
     def no_estimate(*args, **kwargs):
         raise AssertionError("csv computed the estimate")
 
-    monkeypatch.setattr("oseq.cli.hardy_ramanujan", no_estimate)
-    monkeypatch.setattr("oseq.cli.build_partition_table", lambda n: build_partition_table(3))
+    monkeypatch.setattr("oseq.partitions.hardy_ramanujan", no_estimate)
+    monkeypatch.setattr("oseq.partitions.build_partition_table", lambda n: build_partition_table(3))
     code, out, err = run_cli(capsys, "partitions", "--max-n", "79446", "--format", "csv")
     assert (code, err) == (0, "")
     assert out == "n,p,q\n0,1,1\n1,1,1\n2,2,1\n3,3,2\n"
@@ -488,6 +502,8 @@ PINNED_SWEEPS = [
     (1, "31fa3597c71120c75c0972d15c4113acb51122f5e898ddd73d33ae581ee9ec84"),
     (12, "7ad70dc56cb0143b279bdfd7d2eadd0e137f0609f584f535ae5d604c7149548e"),
     (40, "53d25fd5db7cc5b93fe4c82d8e977a7aa36c81c2e59a5a9ec0072ddff7aa1640"),
+    # recorded from the sweep that ran remark_profile on every prefix
+    (50, "063f825b92cb4e808d9d9d0c825171c24c1d9bd103ddd144e00164b47b5c0fb4"),
 ]
 
 
@@ -590,16 +606,59 @@ def test_remark_sweep_exits_three_when_the_walk_drops_a_prefix(capsys, monkeypat
 # start-up
 
 
-def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
-    # Start-up cost: dataclasses imports inspect, which imports ast, dis and tokenize.
+def run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -c code argv...`` in a fresh interpreter, from the repository root."""
     env = {**os.environ, "PYTHONPATH": "src"}
-    probe = "import oseq.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
         cwd=SWEEP_PATH.parent.parent, env=env, capture_output=True, text=True,
     )
+
+
+def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
+    # Start-up cost: dataclasses imports inspect, which imports ast, dis and tokenize.
+    done = run_python("import oseq.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "[]\n"
+
+
+def test_importing_the_package_loads_no_module():
+    done = run_python("import oseq, sys; print(sorted(m for m in sys.modules if m.startswith('oseq.')))")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
+def loaded_after(job: str, *argv: str) -> str:
+    """Which of oseq.bounds, oseq.partitions and json a job has loaded when its process exits."""
+    done = run_python(
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(sorted({'oseq.bounds', 'oseq.partitions', 'json'}"
+        " & set(sys.modules)), file=sys.stderr))\n" + job,
+        *argv,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stderr
+
+
+@pytest.mark.parametrize("argv", [("check", "1"), ("count", "--n", "5"), ("enumerate", "--n", "5")])
+def test_cli_jobs_load_only_what_they_run(argv):
+    job = "runpy.run_module('oseq.cli', run_name='__main__', alter_sys=True)"
+    assert loaded_after(job, *argv) == "[]\n"
+
+
+def test_remark_sweep_leaves_out_partitions():
+    job = f"runpy.run_path({str(SWEEP_PATH)!r}, run_name='__main__')"
+    assert loaded_after(job, "--max-n", "5") == "['oseq.bounds']\n"
+
+
+@pytest.mark.parametrize(
+    "listing",
+    ["from oseq import *\nnames = set(globals())", "names = set(dir(oseq))"],
+    ids=["star-import", "dir"],
+)
+def test_lazy_package_still_lists_every_name(listing):
+    # Each listing is the first thing to touch the package, so it has to load the modules itself.
+    done = run_python(f"import oseq\n{listing}\nprint(sorted(set(oseq.__all__) - names))")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
 
 
 # ---------------------------------------------------------------------------
