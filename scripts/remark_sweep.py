@@ -47,11 +47,11 @@ def main() -> int:
     if args.max_n < 0:
         parser.error("--max-n must be >= 0")
 
+    counter = CensusCounter()
     try:
-        counter = CensusCounter(ceiling=max(args.max_n, 1))
+        counter.count(args.max_n)  # one pass through --max-n; the loop below reads it back
     except ResourceLimitError as exc:
         parser.error(str(exc))
-    counter.count(args.max_n)  # one pass through --max-n; the loop below reads it back
     # N_j(s) rows, indexed by s: every prefix, then those with each prefix flag
     families: tuple[list[list[int]], ...] = ([], [], [], [])
     everything, prefix_ok, t_monotone, alpha_monotone = families

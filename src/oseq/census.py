@@ -42,7 +42,6 @@ from .errors import EnumerationCapError, ResourceLimitError
 from .macaulay import HVector, is_o_sequence, pseudopower
 
 __all__ = [
-    "DEFAULT_CENSUS_CEILING",
     "DEFAULT_STREAM_CAP",
     "BRUTE_FORCE_CAP",
     "CensusCounter",
@@ -54,44 +53,37 @@ __all__ = [
     "build_census",
 ]
 
-DEFAULT_CENSUS_CEILING = 1000
-# The largest ceiling a counter accepts. A pass to N holds about N^2 cells:
-# `oseq count --n 6000 --cap 6000` peaks at about 400 MiB (2-CPU x86, Python 3.11).
+# The largest census length any counter counts. A pass to N holds about N^2
+# cells: `oseq count --n 6000` takes 8.5 to 18 s and peaks at about 400 MiB
+# (2-CPU x86 machines, Python 3.11).
 _MAX_CENSUS_CEILING = 6000
 DEFAULT_STREAM_CAP = 100_000
 BRUTE_FORCE_CAP = 16
 
 
-def _check_ceiling(n: int, ceiling: int) -> None:
-    """Refuse a census length above ``ceiling``, before any counting."""
-    if n > ceiling:
-        raise ResourceLimitError(f"census length {n} exceeds the configured ceiling {ceiling}")
+def _check_ceiling(n: int) -> None:
+    """Refuse a census length above ``_MAX_CENSUS_CEILING``, before any counting."""
+    if n > _MAX_CENSUS_CEILING:
+        raise ResourceLimitError(f"census length {n} exceeds the maximum {_MAX_CENSUS_CEILING}")
 
 
 class CensusCounter:
-    """Counter of L(n) for every n up to ``ceiling``, reusable across lengths.
+    """Counter of L(n) for every n up to the census maximum, reusable across lengths.
 
     By convention no sequence sums to 0 (h_0 = 1 is mandatory), so
     ``count(0)`` is 0. A request beyond the lengths already counted recounts
     every length up to exactly that one in one prefix-and-tail pass; later
-    requests within that range are table lookups. A ceiling above
-    ``_MAX_CENSUS_CEILING`` is refused when the counter is made.
+    requests within that range are table lookups. A length above
+    ``_MAX_CENSUS_CEILING`` is refused with ResourceLimitError before any pass.
     """
 
-    def __init__(self, ceiling: int = DEFAULT_CENSUS_CEILING) -> None:
-        if ceiling < 1:
-            raise ValueError("ceiling must be positive")
-        if ceiling > _MAX_CENSUS_CEILING:
-            raise ResourceLimitError(
-                f"census ceiling {ceiling} exceeds the hard maximum {_MAX_CENSUS_CEILING}"
-            )
-        self.ceiling = ceiling
+    def __init__(self) -> None:
         self._counts = [0]  # _counts[n] = L(n)
 
     def count(self, n: int) -> int:
         if n < 0:
             raise ValueError(f"length must be nonnegative, got {n}")
-        _check_ceiling(n, self.ceiling)
+        _check_ceiling(n)
         if n >= len(self._counts):
             self._counts = self._count_through(n)
         return self._counts[n]
@@ -139,9 +131,9 @@ def _fold_tails(prefix_counts: list[list[int]], limit: int) -> list[int]:
     return counts
 
 
-def count_osequences(n: int, ceiling: int = DEFAULT_CENSUS_CEILING) -> int:
-    """Exact number of O-sequences of length n, refused above ``ceiling``."""
-    return CensusCounter(ceiling=ceiling).count(n)
+def count_osequences(n: int) -> int:
+    """Exact number of O-sequences of length n, refused above the census maximum."""
+    return CensusCounter().count(n)
 
 
 def precritical_prefixes(limit: int) -> Iterator[tuple[int, ...]]:
@@ -218,10 +210,10 @@ def _osequence_blocks(
     per prefix and once per tail built; a concatenation passes exactly when
     both pieces do.
 
-    The exact count is computed first, by ``counter`` (a fresh counter with
-    the default ceiling when none is given); if it exceeds ``cap`` the
-    stream is refused with an EnumerationCapError carrying the count, at
-    call time, before anything is iterated.
+    The exact count is computed first, by ``counter`` (a fresh one when
+    none is given); if it exceeds ``cap`` the stream is refused with an
+    EnumerationCapError carrying the count, at call time, before anything
+    is iterated.
     """
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
@@ -255,9 +247,9 @@ def enumerate_osequences(
 ) -> Iterator[HVector]:
     """Yield every O-sequence of length n, in lexicographic entry order.
 
-    The exact count is computed first, by ``counter`` (a fresh counter with
-    the default ceiling when none is given); if it exceeds ``cap`` the
-    stream is refused with an EnumerationCapError carrying the count.
+    The exact count is computed first, by ``counter`` (a fresh one when
+    none is given); if it exceeds ``cap`` the stream is refused with an
+    EnumerationCapError carrying the count.
 
     Every O-sequence is a pre-critical prefix of some length j and sum s
     followed by a partition of n - s into parts <= j, because x^<d> = x
@@ -311,11 +303,11 @@ class CensusTable(NamedTuple):
         return self.records[n]
 
 
-def build_census(max_n: int, ceiling: int = DEFAULT_CENSUS_CEILING) -> CensusTable:
-    """Compute counts for every length 1..max_n in one pass, refused above ``ceiling``."""
+def build_census(max_n: int) -> CensusTable:
+    """Compute counts for every length 1..max_n in one pass, refused above the census maximum."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    counter = CensusCounter(ceiling=ceiling)
+    counter = CensusCounter()
     counter.count(max_n)  # a fresh counter counts every length through max_n at once
     records = {n: counter.count(n) for n in range(1, max_n + 1)}
     return CensusTable(records=records, max_n=max_n)

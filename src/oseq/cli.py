@@ -18,10 +18,8 @@ from itertools import chain, islice
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .census import (
-    DEFAULT_CENSUS_CEILING,
     DEFAULT_STREAM_CAP,
     CensusCounter,
-    _check_ceiling,
     _osequence_blocks,
     build_census,
     count_osequences,
@@ -68,9 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
             dest="fmt",
         )
 
-    def add_cap(p: argparse.ArgumentParser, what: str, default: int) -> None:
-        p.add_argument("--cap", type=int, metavar="K", default=default, help=what)
-
     p = sub.add_parser("check", help="validate a candidate sequence")
     p.add_argument("sequence", type=_parse_sequence, help="comma-separated entries, e.g. 1,3,4,4")
     add_format(p)
@@ -78,22 +73,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact number of O-sequences of length n")
     p.add_argument("--n", type=int, required=True)
     add_format(p)
-    add_cap(p, "census length ceiling", DEFAULT_CENSUS_CEILING)
 
     p = sub.add_parser("enumerate", help="list every O-sequence of length n")
     p.add_argument("--n", type=int, required=True)
     add_format(p)
-    add_cap(p, "refuse to stream more than K sequences", DEFAULT_STREAM_CAP)
+    p.add_argument(
+        "--cap",
+        type=int,
+        metavar="K",
+        default=DEFAULT_STREAM_CAP,
+        help="refuse to stream more than K sequences",
+    )
 
     p = sub.add_parser("census", help="counts for every length up to max-n")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     add_format(p)
-    add_cap(p, "census length ceiling", DEFAULT_CENSUS_CEILING)
 
     p = sub.add_parser("bounds", help="verify both count bounds up to max-n")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     add_format(p)
-    add_cap(p, "census length ceiling", DEFAULT_CENSUS_CEILING)
 
     p = sub.add_parser("partitions", help="exact p/q table up to max-n")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
@@ -116,14 +114,13 @@ class _Output(NamedTuple):
 
     ``head`` holds the JSON top-level fields. With a ``key``, ``records``
     follow them in JSON as a list under that key and are the CSV rows;
-    without one, ``head`` is the single CSV row. ``columns`` names the CSV
-    cells, read from each dict record; a record that is not a dict is its
-    row's one cell. A record that is a ``str`` is already in the output
-    format (CSV lines, JSON values) and is written as is; it may hold
-    several rows, joined by the format's row separator (a newline, or a
-    comma in JSON). Records are either all strings or none. ``lines`` is
-    the table. ``records`` and ``lines`` may be generators: only the one
-    the format needs is consumed.
+    without one, ``head`` is the single CSV row. Records are dicts or
+    strings, either all of one kind or all of the other. ``columns`` names
+    the CSV cells, read from each dict record. A ``str`` record is already
+    in the output format (CSV lines, JSON values) and is written as is; it
+    may hold several rows, joined by the format's row separator (a newline,
+    or a comma in JSON). ``lines`` is the table. ``records`` and ``lines``
+    may be generators: only the one the format needs is consumed.
     """
 
     head: dict[str, Any]
@@ -134,8 +131,6 @@ class _Output(NamedTuple):
 
 
 def _cell(value: Any) -> str:
-    if isinstance(value, str):
-        return value
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -180,7 +175,7 @@ def _render(output: _Output, fmt: str) -> None:
         lines = chain(
             [",".join(columns)],
             (
-                ",".join(_cell(row.get(c)) for c in columns) if isinstance(row, dict) else _cell(row)
+                ",".join(_cell(row.get(c)) for c in columns) if isinstance(row, dict) else row
                 for row in rows
             ),
         )
@@ -209,7 +204,7 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _run_count(args: argparse.Namespace) -> int:
-    count = count_osequences(args.n, ceiling=args.cap)
+    count = count_osequences(args.n)
     _render(_Output({"n": args.n, "L": str(count)}, ("n", "L"), [f"L({args.n}) = {count}"]), args.fmt)
     return EXIT_OK
 
@@ -226,14 +221,15 @@ def _run_enumerate(args: argparse.Namespace) -> int:
 
     def rows() -> Iterator[str]:
         # One string per block: the prefix's text before each of its tails'.
-        # Each prefix's text is made once, and each tail's once per (j, m),
-        # with its leading separator and the closing bracket.
-        texts: dict[tuple[int, int], list[str]] = {}
+        # Each prefix's text is made once, and each tail's once per tuple of
+        # tails, with its leading separator and the closing bracket. The walk
+        # shares one tails tuple among its prefixes and holds every one it
+        # has built until it ends, so the tuple's id keys its texts.
+        texts: dict[int, list[str]] = {}
         for prefix, tails in blocks:
-            key = (len(prefix), args.n - sum(prefix))
-            tail_texts = texts.get(key)
+            tail_texts = texts.get(id(tails))
             if tail_texts is None:
-                tail_texts = texts[key] = [
+                tail_texts = texts[id(tails)] = [
                     (separator + separator.join(map(str, tail)) if tail else "") + closing
                     for tail in tails
                 ]
@@ -254,7 +250,7 @@ def _run_enumerate(args: argparse.Namespace) -> int:
 
 
 def _run_census(args: argparse.Namespace) -> int:
-    table = build_census(args.max_n, ceiling=args.cap)
+    table = build_census(args.max_n)
     lengths = range(1, table.max_n + 1)
     n_width = len(str(table.max_n))
     width = len(str(table.records[table.max_n]))
@@ -271,12 +267,12 @@ def _run_census(args: argparse.Namespace) -> int:
 
 def _run_bounds(args: argparse.Namespace) -> int:
     from .bounds import build_bounds_report
-    from .partitions import _check_table_limit, build_partition_table
+    from .partitions import build_partition_table
 
-    # Both refusals come before either pass, the census ceiling's first.
-    _check_ceiling(args.max_n, args.cap)
-    _check_table_limit(args.max_n)
-    census = build_census(args.max_n, ceiling=args.cap)
+    # build_census refuses a length above the census maximum (6000) before
+    # its pass. That maximum is below the partition table's limit (100 000),
+    # so the table, built second, never refuses here.
+    census = build_census(args.max_n)
     report = build_bounds_report(census, build_partition_table(args.max_n))
     rows = report.records
     lines = chain(

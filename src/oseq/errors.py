@@ -6,7 +6,7 @@ __all__ = ["ResourceLimitError", "EnumerationCapError", "TheoremViolationError"]
 
 
 class ResourceLimitError(RuntimeError):
-    """A request exceeded a configured size ceiling and was refused."""
+    """A request exceeded a size limit or cap and was refused."""
 
 
 class EnumerationCapError(ResourceLimitError):

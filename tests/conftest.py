@@ -23,7 +23,7 @@ def partition_table():
 
 @pytest.fixture(scope="session")
 def census_counter():
-    return CensusCounter(ceiling=200)
+    return CensusCounter()
 
 
 @pytest.fixture(scope="session")

@@ -112,22 +112,28 @@ def test_count_edge_cases():
         count_osequences(-1)
 
 
-def test_counter_ceiling():
-    counter = CensusCounter(ceiling=200)
-    with pytest.raises(ResourceLimitError):
-        counter.count(201)
-    with pytest.raises(ValueError):
-        CensusCounter(ceiling=0)
+def no_pass(*args, **kwargs):
+    """Stands in for a pass that a refusal must come before."""
+    raise AssertionError("a pass started before the refusal")
 
 
-def test_counter_hard_maximum():
+def test_counter_ceiling(monkeypatch):
+    # The maximum itself is counted and one more is refused, before any pass.
+    monkeypatch.setattr(CensusCounter, "_count_through", lambda self, limit: list(range(limit + 1)))
+    assert CensusCounter().count(_MAX_CENSUS_CEILING) == _MAX_CENSUS_CEILING
+    monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
+    with pytest.raises(ResourceLimitError) as excinfo:
+        CensusCounter().count(_MAX_CENSUS_CEILING + 1)
+    assert str(excinfo.value) == "census length 6001 exceeds the maximum 6000"
+
+
+def test_counter_hard_maximum(monkeypatch):
     # the census-to-2000 fixture needs at least 2000
     assert _MAX_CENSUS_CEILING >= 2000
-    assert CensusCounter(ceiling=_MAX_CENSUS_CEILING).ceiling == _MAX_CENSUS_CEILING
-    with pytest.raises(ResourceLimitError, match="hard maximum"):
-        CensusCounter(ceiling=_MAX_CENSUS_CEILING + 1)
-    with pytest.raises(ResourceLimitError, match="hard maximum"):
-        count_osequences(5, ceiling=_MAX_CENSUS_CEILING + 1)
+    monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
+    for refused in (count_osequences, build_census, enumerate_osequences):
+        with pytest.raises(ResourceLimitError, match="exceeds the maximum"):
+            refused(_MAX_CENSUS_CEILING + 1)
 
 
 def partitions_with_parts_at_most(n: int, j: int) -> int:
@@ -180,7 +186,7 @@ GOLDEN_L_1_TO_2000_SHA256 = "0edc27de19851bdb2bd890220737cb89ebbf95ddb98122188d1
 
 @pytest.fixture(scope="module")
 def census_to_2000():
-    return build_census(2000, ceiling=2000)
+    return build_census(2000)
 
 
 def digest(table: CensusTable, max_n: int) -> str:
@@ -211,7 +217,12 @@ def test_pass_prunes_against_its_own_limit(census_to_2000):
     assert digest(census_to_2000, 1000) == GOLDEN_L_1_TO_1000_SHA256
     around_triangular = [t + step for t in (210, 300, 406) for step in (-1, 0, 1)]
     for n in [*range(1, 121), *around_triangular, 999]:
-        assert CensusCounter(ceiling=n).count(n) == census_to_2000.records[n], n
+        assert CensusCounter().count(n) == census_to_2000.records[n], n
+
+
+def test_count_osequences_admits_1001(census_to_2000):
+    # no setting is needed past 1000: the one limit is the census maximum
+    assert count_osequences(1001) == census_to_2000.records[1001]
 
 
 def test_top_layer_at_every_boundary():
@@ -220,7 +231,7 @@ def test_top_layer_at_every_boundary():
     # 78 here.
     one_pass = build_census(200)
     for n in range(1, 81):
-        assert CensusCounter(ceiling=n).count(n) == one_pass.records[n], n
+        assert CensusCounter().count(n) == one_pass.records[n], n
 
 
 def test_brute_force_hard_cap():

@@ -13,7 +13,9 @@ import json
 import math
 import os
 import pathlib
+import re
 import runpy
+import shlex
 import subprocess
 import sys
 
@@ -23,8 +25,8 @@ import pytest
 import oseq.census
 from oseq.bounds import check_prefix_bound, remark_profile, verify_tail_partition
 from oseq.census import _MAX_CENSUS_CEILING, CensusCounter, CensusTable, enumerate_osequences
-from oseq.cli import main
-from oseq.partitions import build_partition_table
+from oseq.cli import build_parser, main
+from oseq.partitions import DEFAULT_TABLE_LIMIT, build_partition_table
 
 KNOWN_COUNTS = [1, 1, 2, 3, 5, 8, 12, 18, 27, 40, 57, 82]
 
@@ -71,12 +73,6 @@ def test_count_csv(capsys):
     code, out, _ = run_cli(capsys, "count", "--n", "6", "--format", "csv")
     assert code == 0
     assert out == "n,L\n6,8\n"
-
-
-def test_count_respects_cap(capsys):
-    code, _, err = run_cli(capsys, "count", "--n", "50", "--cap", "30")
-    assert code == 2
-    assert "ceiling" in err
 
 
 def test_check_valid_and_invalid(capsys, schema_dir):
@@ -232,12 +228,6 @@ def test_census_csv(capsys):
     assert out == "n,L\n1,1\n2,1\n3,2\n"
 
 
-def test_census_cap_refusal(capsys):
-    code, _, err = run_cli(capsys, "census", "--max-n", "6", "--cap", "5")
-    assert code == 2
-    assert "ceiling" in err
-
-
 def test_census_default_ceiling_admits_201(capsys):
     code, out, err = run_cli(capsys, "census", "--max-n", "201", "--format", "csv")
     assert code == 0 and err == ""
@@ -246,24 +236,24 @@ def test_census_default_ceiling_admits_201(capsys):
     assert lines[200] == "200,1975618316572817"
 
 
-def test_count_refuses_past_default_ceiling(capsys):
+def test_count_admits_1001_without_a_flag(capsys):
+    # the value is the pass to 2000's, whose digest tests/test_census.py pins
     code, out, err = run_cli(capsys, "count", "--n", "1001")
-    assert code == 2
-    assert out == ""
-    assert "ceiling 1000" in err
+    assert (code, err) == (0, "")
+    assert out == "L(1001) = 1152342045738373762983822041162799351249\n"
 
 
 @pytest.mark.parametrize(
     "argv",
-    [("count", "--n", "5"), ("census", "--max-n", "5"), ("bounds", "--max-n", "5")],
-    ids=["count", "census", "bounds"],
+    [("count", "--n"), ("census", "--max-n"), ("bounds", "--max-n"), ("enumerate", "--n")],
+    ids=["count", "census", "bounds", "enumerate"],
 )
 def test_ceiling_above_the_hard_maximum_exits_two_before_any_pass(capsys, monkeypatch, argv):
     monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
-    cap = str(_MAX_CENSUS_CEILING + 1)
-    code, out, err = run_cli(capsys, *argv, "--cap", cap)
+    monkeypatch.setattr("oseq.partitions.build_partition_table", no_pass)
+    code, out, err = run_cli(capsys, *argv, str(_MAX_CENSUS_CEILING + 1))
     assert (code, out) == (2, "")
-    assert err == f"error: census ceiling {cap} exceeds the hard maximum {_MAX_CENSUS_CEILING}\n"
+    assert err == "error: census length 6001 exceeds the maximum 6000\n"
 
 
 def test_census_ignores_planted_cache_file(capsys, tmp_path, monkeypatch):
@@ -325,7 +315,7 @@ def test_bounds_table_envelope_line(capsys):
 def test_theorem_violation_exits_three(capsys, monkeypatch):
     # A census below p(n-1) can only come from a bug, and says so on stderr.
     fake = CensusTable(records={1: 1, 2: 1, 3: 1}, max_n=3)
-    monkeypatch.setattr("oseq.cli.build_census", lambda max_n, ceiling: fake)
+    monkeypatch.setattr("oseq.cli.build_census", lambda max_n: fake)
     code, out, err = run_cli(capsys, "bounds", "--max-n", "3")
     assert code == 3
     assert out == ""
@@ -333,15 +323,18 @@ def test_theorem_violation_exits_three(capsys, monkeypatch):
 
 
 def test_bounds_refuses_both_limits_before_any_pass(capsys, monkeypatch):
+    # over both limits, the census maximum is named and neither pass starts
     monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
     monkeypatch.setattr("oseq.partitions.build_partition_table", no_pass)
-    code, out, err = run_cli(capsys, "bounds", "--max-n", "100001", "--cap", "200000")
-    assert (code, out) == (2, "")
-    assert err == "error: partition table limit 100001 exceeds the configured maximum 100000\n"
-    # over both limits, the census ceiling is named
     code, out, err = run_cli(capsys, "bounds", "--max-n", "100001")
     assert (code, out) == (2, "")
-    assert err == "error: census length 100001 exceeds the configured ceiling 1000\n"
+    assert err == "error: census length 100001 exceeds the maximum 6000\n"
+
+
+def test_census_maximum_is_below_the_table_limit():
+    # bounds counts the census first and relies on this: every length the
+    # census admits, the partition table admits too
+    assert _MAX_CENSUS_CEILING <= DEFAULT_TABLE_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +535,12 @@ def test_remark_sweep_refuses_a_ceiling_above_the_hard_maximum(capsys, monkeypat
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"exceeds the hard maximum {_MAX_CENSUS_CEILING}" in captured.err
+    assert captured.err.endswith("error: census length 6001 exceeds the maximum 6000\n")
 
 
 def per_sequence_sweep(max_n: int) -> str:
     """Reference sweep: the per-sequence loop the script ran before it weighted prefixes."""
-    counter = CensusCounter(ceiling=max(max_n, 1))
+    counter = CensusCounter()
     lines = [
         f"{'n':>3} {'L(n)':>8} {'tail ok':>8} {'prefix ok':>9} "
         f"{'t monotone':>11} {'alpha monotone':>15}"
@@ -672,13 +665,47 @@ def test_lazy_package_still_lists_every_name(listing):
         ("count", "--n", "-3"),
         ("census", "--max-n", "0"),
         ("enumerate", "--n", "2", "--cap", "0"),
+        # --cap is the stream cap of enumerate alone
+        ("count", "--n", "5", "--cap", "5"),
+        ("census", "--max-n", "5", "--cap", "5"),
+        ("bounds", "--max-n", "5", "--cap", "5"),
     ],
 )
 def test_bad_usage_exits_two(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+    # a bad value is refused by the runner, an unknown option by argparse
+    try:
+        code, message = main(list(argv)), "must be >= 1"
+    except SystemExit as exc:
+        code, message = exc.code, "unrecognized arguments: --cap 5"
+    out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert "must be >= 1" in err
+    assert message in err
+
+
+README_PATH = SWEEP_PATH.parent.parent / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """Every ``oseq ...`` command in the README: code block lines and inline code spans."""
+    text = README_PATH.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\w*\n(.*?)^```", text, re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("oseq ")]
+    return lines + re.findall(r"`(oseq\s[^`]*)`", text)
+
+
+def test_every_readme_command_parses(capsys):
+    # a flag taken out of the CLI has to leave the docs too
+    commands = readme_commands()
+    assert len(commands) >= 7  # the CLI block alone has seven
+    refused = []
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            refused.append(command)
+    capsys.readouterr()
+    assert refused == []
 
 
 def test_unknown_subcommand_is_an_argparse_error(capsys):
