@@ -3,30 +3,21 @@
 Usage:
     python scripts/remark_sweep.py --max-n 12
 
-For each total n this reports L(n), how many sequences satisfy the two
-structure checks (nonincreasing tail after the critical index, critical
-index below sqrt(2n)) and how often the staircase monotonicity diagnostics
-hold on the pre-critical window. The structure checks are theorems and
-should sit at 100%; the staircase flags are only guaranteed asymptotically,
-so their rates are the interesting output.
+For each total n this reports L(n) and the share of sequences that pass each
+structure check: a nonincreasing tail after the critical index, a critical
+index below sqrt(2n), and the two staircase flags of ``remark_profile``. All
+four are theorems, so every column reads 100.0%.
 
 No sequence is visited. Every O-sequence is a pre-critical prefix of length
-j and sum s followed by a partition of n - s into parts <= j, and every
-column but "tail ok" tests the prefix alone ("prefix ok" is j^2 < 2s <= 2n).
-So one walk over the prefixes to --max-n counts N_j(s) for all prefixes and
-for those passing each prefix column, and the census's tail fold turns each
-family into per-n sequence counts. The tail is a partition by construction;
-what backs "tail ok" instead is that the folded totals equal the census
-count L(n), whose prefixes come from its rows, not from this walk. A
-mismatch is a bug: the script names n on stderr and exits 3.
-
-The staircase flags of a prefix are those of its parent (the prefix less its
-last entry) updated by one decomposition, of that last entry. The walk is in
-preorder, so the parent's state is the top of a stack indexed by prefix
-length: its last defined (t, alpha) and its two flags. A new defined pair
-keeps "t monotone" when t does not rise from the last one, and "alpha
-monotone" when alpha does not rise while t stays the same, which is what
-``remark_profile`` grades over the whole window.
+j and sum s followed by a partition of n - s into parts <= j. One walk over
+the prefixes to --max-n asserts the three prefix checks ("prefix ok" is
+j^2 < 2s <= 2n; the staircase flags hold when each prefix's last
+decomposition follows its parent's by the window lemma in ``oseq.bounds``)
+and counts N_j(s), and the census's tail fold turns the counts into per-n
+sequence counts. The tail is a partition by construction; what backs "tail
+ok" instead is that the folded totals equal the census count L(n), whose
+prefixes come from its rows, not from this walk. Any failure is a bug: the
+script names the prefix or n on stderr and exits 3.
 """
 
 from __future__ import annotations
@@ -34,10 +25,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from oseq.bounds import StaircaseDecomposition, staircase_decompose
+from oseq.bounds import StaircaseDecomposition, _staircase_step_holds, staircase_decompose
 from oseq.census import CensusCounter, _fold_tails, precritical_prefixes
 from oseq.errors import ResourceLimitError
 from oseq.macaulay import HVector
+
+
+def _bug(message: str) -> int:
+    print(f"remark_sweep: {message}", file=sys.stderr)
+    return 3
 
 
 def main() -> int:
@@ -52,32 +48,23 @@ def main() -> int:
         counter.count(args.max_n)  # one pass through --max-n; the loop below reads it back
     except ResourceLimitError as exc:
         parser.error(str(exc))
-    # N_j(s) rows, indexed by s: every prefix, then those with each prefix flag
-    families: tuple[list[list[int]], ...] = ([], [], [], [])
-    everything, prefix_ok, t_monotone, alpha_monotone = families
-    # states[j - 1] is the state of the current prefix of length j: its last
-    # defined staircase decomposition (None if none is) and its two flags
-    states: list[tuple[StaircaseDecomposition | None, bool, bool]] = []
+    rows: list[list[int]] = []  # rows[j - 1][s] = N_j(s)
+    # decomps[j]: the decomposition of the last entry of the current length-j prefix
+    decomps: list[StaircaseDecomposition | None] = [None]
     for prefix in precritical_prefixes(args.max_n):
         HVector(prefix)  # canonical form, or ValueError
         j, s = len(prefix), sum(prefix)
-        del states[j - 1 :]
-        last, t_ok, alpha_ok = states[-1] if states else (None, True, True)
+        del decomps[j:]
         d = staircase_decompose(prefix[-1], j - 1) if j > 1 else None
-        if d is not None:
-            if last is not None:
-                t_ok = t_ok and last.t >= d.t
-                alpha_ok = alpha_ok and (last.t != d.t or last.alpha >= d.alpha)
-            last = d
-        states.append((last, t_ok, alpha_ok))
-        if len(everything) < j:  # preorder: the first prefix of length j follows one of j - 1
-            for rows in families:
-                rows.append([0] * (args.max_n + 1))
-        everything[j - 1][s] += 1
-        prefix_ok[j - 1][s] += j * j < 2 * s
-        t_monotone[j - 1][s] += t_ok
-        alpha_monotone[j - 1][s] += alpha_ok
-    totals, prefix_oks, t_oks, alpha_oks = (_fold_tails(rows, args.max_n) for rows in families)
+        if not _staircase_step_holds(decomps[-1], d):
+            return _bug(f"the prefix {prefix} breaks the staircase window lemma")
+        if j * j >= 2 * s:
+            return _bug(f"the prefix {prefix} breaks the prefix bound j^2 < 2s")
+        decomps.append(d)
+        if len(rows) < j:  # preorder: the first prefix of length j follows one of j - 1
+            rows.append([0] * (args.max_n + 1))
+        rows[j - 1][s] += 1
+    totals = _fold_tails(rows, args.max_n)
 
     header = (
         f"{'n':>3} {'L(n)':>8} {'tail ok':>8} {'prefix ok':>9} "
@@ -87,20 +74,12 @@ def main() -> int:
     for n in range(1, args.max_n + 1):
         total = totals[n]
         if total != counter.count(n):
-            print(
-                f"remark_sweep: the prefix weights sum to {total} at n={n}, "
-                f"but the census counts {counter.count(n)}",
-                file=sys.stderr,
+            return _bug(
+                f"the prefix weights sum to {total} at n={n}, "
+                f"but the census counts {counter.count(n)}"
             )
-            return 3
-
-        def pct(k: int) -> str:
-            return f"{100.0 * k / total:>6.1f}%"
-
-        print(
-            f"{n:>3} {total:>8} {pct(total):>8} {pct(prefix_oks[n]):>9} "
-            f"{pct(t_oks[n]):>11} {pct(alpha_oks[n]):>15}"
-        )
+        ok = f"{100.0 * total / total:>6.1f}%"  # every sequence passed every check
+        print(f"{n:>3} {total:>8} {ok:>8} {ok:>9} {ok:>11} {ok:>15}")
     return 0
 
 

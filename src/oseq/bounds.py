@@ -1,4 +1,4 @@
-"""Verification of the census bounds and per-sequence structure diagnostics.
+"""Verification of the census bounds and of the per-sequence structure theorems.
 
 For every computed length n the census count is squeezed between the exact
 partition number p(n-1) (big-integer comparison) and the product
@@ -8,7 +8,8 @@ theorems: a violation is an implementation bug and raises.
 The per-sequence operations expose the structure behind the upper bound:
 the critical index (first degree where the value drops to the degree or
 below), the nonincreasing tail beyond it, and the staircase decomposition
-of entries in the pre-critical window.
+of entries in the pre-critical window, whose (t, alpha) never rises from
+one degree to the next (the window lemma at ``_staircase_step_holds``).
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ def verify_tail_partition(h: HVector) -> bool:
 
 
 def check_prefix_bound(h: HVector) -> bool:
-    """True iff the critical index stays below sqrt(2n), n the entry sum."""
+    """True iff the critical index j stays below sqrt(2n), n the entry sum.
+
+    Always true: h_i >= i + 1 below j, so 2n >= 2(1 + ... + j) = j^2 + j > j^2.
+    """
     return critical_index(h) < math.sqrt(2.0 * h.total)
 
 
@@ -182,15 +186,32 @@ def staircase_decompose(value: int, degree: int) -> StaircaseDecomposition | Non
     return StaircaseDecomposition(degree=degree, t=t, alpha=alpha)
 
 
+def _staircase_step_holds(
+    previous: StaircaseDecomposition | None, current: StaircaseDecomposition | None
+) -> bool:
+    """The window lemma for one step: ``current`` at degree i + 1 follows ``previous`` at i.
+
+    Write S(d, t) = (d+1) + d + ... + (d-t+1) and let x = S(i, t) + alpha be
+    in the window at degree i. Then x^<i> = x + t + 1 = S(i+1, t) + alpha,
+    and S(i+1, t+1) - S(i+1, t) = i + 1 - t > alpha. So every pre-critical
+    next entry y (i + 2 <= y <= x^<i>) is in the window at degree i + 1, and
+    (t_y, alpha_y) <= (t, alpha) lexicographically, the order of the values
+    in one window. The window is absorbing, t never rises, and alpha never
+    rises while t stays; only where the window starts depends on the sequence.
+    """
+    return previous is None or (
+        current is not None and (current.t, current.alpha) <= (previous.t, previous.alpha)
+    )
+
+
 class RemarkReport(NamedTuple):
     """Staircase profile of the pre-critical window of one sequence.
 
     ``decompositions`` holds one (degree, decomposition-or-None) pair for
     every degree in [1, j-1], j the critical index. The monotonicity flags
-    are diagnostics computed over the degrees where the decomposition is
-    defined: t should never increase, and alpha should never increase while
-    t stays constant. They are reported, not asserted; the guaranteed
-    window is asymptotic and not pinned down at small n.
+    (t never increases, and alpha never increases while t stays the same)
+    are always True: ``remark_profile`` asserts them by the window lemma
+    and raises on a violation.
     """
 
     decompositions: tuple[tuple[int, StaircaseDecomposition | None], ...]
@@ -201,21 +222,19 @@ class RemarkReport(NamedTuple):
 
 
 def remark_profile(h: HVector) -> RemarkReport:
-    """Decompose every pre-critical entry and grade the monotonicity."""
+    """Decompose every pre-critical entry and assert the window lemma between degrees."""
     j = critical_index(h)
-    decomps: list[tuple[int, StaircaseDecomposition | None]] = []
-    for i in range(1, j):
-        decomps.append((i, staircase_decompose(h.entries[i], i)))
-    defined = [d for _, d in decomps if d is not None]
-    t_monotone = all(a.t >= b.t for a, b in zip(defined, defined[1:]))
-    alpha_monotone = all(
-        a.alpha >= b.alpha for a, b in zip(defined, defined[1:]) if a.t == b.t
-    )
-    first_degree = next((i for i, d in decomps if d is not None), None)
+    decomps = tuple((i, staircase_decompose(h.entries[i], i)) for i in range(1, j))
+    for (_, previous), (i, current) in zip(decomps, decomps[1:]):
+        if not _staircase_step_holds(previous, current):
+            seq = ",".join(map(str, h.entries))
+            raise TheoremViolationError(
+                f"staircase window lemma failed at degree {i} of {seq}: {current} follows {previous}"
+            )
     return RemarkReport(
-        decompositions=tuple(decomps),
-        t_monotone=t_monotone,
-        alpha_monotone_within_t_plateaus=alpha_monotone,
-        first_applicable_degree=first_degree,
+        decompositions=decomps,
+        t_monotone=True,
+        alpha_monotone_within_t_plateaus=True,
+        first_applicable_degree=next((i for i, d in decomps if d is not None), None),
         critical_index=j,
     )

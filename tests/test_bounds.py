@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oseq.bounds
 from oseq.bounds import (
     BoundsReport,
     StaircaseDecomposition,
+    _staircase_step_holds,
+    _staircase_sum,
     build_bounds_report,
     check_prefix_bound,
     critical_index,
@@ -22,7 +25,7 @@ from oseq.bounds import (
 from oseq.census import CensusTable, build_census, enumerate_osequences
 from oseq.cli import main
 from oseq.errors import TheoremViolationError
-from oseq.macaulay import HVector
+from oseq.macaulay import HVector, pseudopower
 
 
 def test_critical_index_examples():
@@ -110,6 +113,56 @@ def test_staircase_recomposes_in_range(degree, offset):
     assert decomp.value() == value
     assert 0 <= decomp.alpha < degree - decomp.t
     assert 0 <= decomp.t <= degree - 1
+
+
+def window_lemma_pairs(max_degree: int) -> int:
+    """Check the window lemma for every x in the window at degree i <= max_degree.
+
+    Every pre-critical next entry y (i + 2 <= y <= x^<i>) must follow x by
+    ``_staircase_step_holds``; returns the number of (x, y) pairs checked.
+    """
+    pairs = 0
+    for i in range(1, max_degree + 1):
+        for x in range(i + 1, (i + 1) * (i + 2) // 2):
+            previous = staircase_decompose(x, i)
+            assert previous is not None, (x, i)
+            for y in range(i + 2, pseudopower(x, i) + 1):
+                assert _staircase_step_holds(previous, staircase_decompose(y, i + 1)), (x, y, i)
+                pairs += 1
+    return pairs
+
+
+def test_window_lemma_holds_exhaustively_to_degree_25():
+    assert window_lemma_pairs(25) == 315_315
+
+
+def test_staircase_step_holds_examples():
+    d = StaircaseDecomposition
+    assert _staircase_step_holds(None, None)
+    assert _staircase_step_holds(None, d(degree=2, t=1, alpha=0))
+    assert _staircase_step_holds(d(degree=2, t=1, alpha=0), d(degree=3, t=1, alpha=0))
+    assert _staircase_step_holds(d(degree=2, t=1, alpha=0), d(degree=3, t=0, alpha=2))
+    assert not _staircase_step_holds(d(degree=2, t=1, alpha=0), None)
+    assert not _staircase_step_holds(d(degree=2, t=0, alpha=1), d(degree=3, t=1, alpha=0))
+    assert not _staircase_step_holds(d(degree=3, t=1, alpha=0), d(degree=4, t=1, alpha=1))
+
+
+@pytest.mark.parametrize(
+    ("name", "mutant"),
+    [
+        ("_staircase_sum", lambda degree, t: _staircase_sum(degree, t) + 1),
+        ("_staircase_sum", lambda degree, t: _staircase_sum(degree, t) - 1),
+        ("pseudopower", lambda value, degree: pseudopower(value, degree) - 1),
+        ("pseudopower", lambda value, degree: pseudopower(value, degree) + 1),
+    ],
+    ids=["sum+1", "sum-1", "t-rule-value-2", "t-rule-value"],
+)
+def test_window_lemma_check_catches_an_off_by_one(monkeypatch, name, mutant):
+    # the pseudopower mutants move t = x^<d> - x - 1 inside staircase_decompose
+    # only; the check reads the true x^<i> for its range of y
+    monkeypatch.setattr(oseq.bounds, name, mutant)
+    with pytest.raises(AssertionError):
+        window_lemma_pairs(25)
 
 
 def test_remark_profile_worked_example():

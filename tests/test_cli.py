@@ -23,7 +23,12 @@ import jsonschema
 import pytest
 
 import oseq.census
-from oseq.bounds import check_prefix_bound, remark_profile, verify_tail_partition
+from oseq.bounds import (
+    StaircaseDecomposition,
+    check_prefix_bound,
+    remark_profile,
+    verify_tail_partition,
+)
 from oseq.census import _MAX_CENSUS_CEILING, CensusCounter, CensusTable, enumerate_osequences
 from oseq.cli import build_parser, main
 from oseq.partitions import DEFAULT_TABLE_LIMIT, build_partition_table
@@ -228,7 +233,7 @@ def test_census_csv(capsys):
     assert out == "n,L\n1,1\n2,1\n3,2\n"
 
 
-def test_census_default_ceiling_admits_201(capsys):
+def test_census_admits_201_with_L200_pinned(capsys):
     code, out, err = run_cli(capsys, "census", "--max-n", "201", "--format", "csv")
     assert code == 0 and err == ""
     lines = out.splitlines()
@@ -593,6 +598,41 @@ def test_remark_sweep_exits_three_when_the_walk_drops_a_prefix(capsys, monkeypat
     assert excinfo.value.code == 3
     err = capsys.readouterr().err
     assert "n=3" in err
+
+
+def rising_t(value: int, degree: int) -> StaircaseDecomposition:
+    """A planted fault: every entry decomposes, with t = degree - 1, so t rises."""
+    return StaircaseDecomposition(degree=degree, t=degree - 1, alpha=0)
+
+
+def test_remark_exits_three_when_t_rises(capsys, monkeypatch):
+    monkeypatch.setattr("oseq.bounds.staircase_decompose", rising_t)
+    code, out, err = run_cli(capsys, "remark", "1,3,6,10,15,21,7,3")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error (bug): staircase window lemma failed at degree 2 of 1,3,6,10,15,21,7,3")
+
+
+def test_remark_sweep_exits_three_when_t_rises(capsys, monkeypatch):
+    monkeypatch.setattr("oseq.bounds.staircase_decompose", rising_t)
+    monkeypatch.setattr(sys, "argv", [str(SWEEP_PATH), "--max-n", "12"])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(str(SWEEP_PATH), run_name="__main__")
+    assert excinfo.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "remark_sweep: the prefix (1, 2, 3) breaks the staircase window lemma\n"
+
+
+def test_remark_sweep_exits_three_on_the_prefix_bound(capsys, monkeypatch):
+    # (1, 1) is not pre-critical: j = 2 and s = 2 break j^2 < 2s
+    monkeypatch.setattr(oseq.census, "precritical_prefixes", lambda limit: iter([(1,), (1, 1)]))
+    monkeypatch.setattr(sys, "argv", [str(SWEEP_PATH), "--max-n", "5"])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(str(SWEEP_PATH), run_name="__main__")
+    assert excinfo.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "remark_sweep: the prefix (1, 1) breaks the prefix bound j^2 < 2s\n"
 
 
 # ---------------------------------------------------------------------------
