@@ -66,9 +66,11 @@ def verify_tail_partition(h: HVector) -> bool:
 def check_prefix_bound(h: HVector) -> bool:
     """True iff the critical index j stays below sqrt(2n), n the entry sum.
 
-    Always true: h_i >= i + 1 below j, so 2n >= 2(1 + ... + j) = j^2 + j > j^2.
+    Decided exactly, as j^2 < 2n. Always true: h_i >= i + 1 below j, so
+    2n >= 2(1 + ... + j) = j^2 + j > j^2.
     """
-    return critical_index(h) < math.sqrt(2.0 * h.total)
+    j = critical_index(h)
+    return j * j < 2 * h.total
 
 
 class BoundsRecord(NamedTuple):

@@ -27,10 +27,6 @@ every partition of the rest into parts <= j. Those partitions depend only on
 as a block with every prefix that shares the key; the CLI renders each
 prefix and each tail once, by block, rather than each sequence entry by
 entry.
-
-An independent generate-and-test oracle (every composition, filtered by the
-validity test) cross-checks the counter at desk scale; the two share no
-code besides ``is_o_sequence``.
 """
 
 from __future__ import annotations
@@ -39,17 +35,15 @@ from operator import add
 from typing import Iterator, NamedTuple
 
 from .errors import EnumerationCapError, ResourceLimitError
-from .macaulay import HVector, is_o_sequence, pseudopower
+from .macaulay import HVector, pseudopower
 
 __all__ = [
     "DEFAULT_STREAM_CAP",
-    "BRUTE_FORCE_CAP",
     "CensusCounter",
     "CensusTable",
     "count_osequences",
     "enumerate_osequences",
     "precritical_prefixes",
-    "brute_force_count",
     "build_census",
 ]
 
@@ -58,7 +52,6 @@ __all__ = [
 # (2-CPU x86 machines, Python 3.11).
 _MAX_CENSUS_CEILING = 6000
 DEFAULT_STREAM_CAP = 100_000
-BRUTE_FORCE_CAP = 16
 
 
 def _check_ceiling(n: int) -> None:
@@ -266,41 +259,11 @@ def enumerate_osequences(
     return (HVector(prefix + tail) for prefix, tails in blocks for tail in tails)
 
 
-def _compositions(total: int) -> Iterator[tuple[int, ...]]:
-    """All ordered tuples of positive integers summing to ``total``."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
-
-
-def brute_force_count(n: int) -> int:
-    """Count by generating every 1-prefixed composition and filtering.
-
-    Independent oracle for the census counter; the 2^(n-2) compositions
-    keep this to desk scale, so lengths above ``BRUTE_FORCE_CAP`` are refused.
-    """
-    if n < 1:
-        raise ValueError(f"length must be >= 1, got {n}")
-    if n > BRUTE_FORCE_CAP:
-        raise ResourceLimitError(
-            f"brute-force counting of length {n} refused (hard cap {BRUTE_FORCE_CAP})"
-        )
-    return sum(
-        1 for tail in _compositions(n - 1) if is_o_sequence((1,) + tail).valid
-    )
-
-
 class CensusTable(NamedTuple):
     """Computed counts for every length 1..max_n."""
 
     records: dict[int, int]
     max_n: int
-
-    def count(self, n: int) -> int:
-        return self.records[n]
 
 
 def build_census(max_n: int) -> CensusTable:

@@ -20,7 +20,6 @@ __all__ = [
     "HVector",
     "MacaulayExpansion",
     "ValidityReport",
-    "binomial",
     "macaulay_expand",
     "pseudopower",
     "is_o_sequence",
@@ -29,13 +28,6 @@ __all__ = [
 REASON_BAD_H0 = "bad-h0"
 REASON_ZERO_ENTRY = "zero-entry"
 REASON_GROWTH = "growth-violation"
-
-
-def binomial(m: int, k: int) -> int:
-    """Exact binomial coefficient C(m, k); zero when k > m."""
-    if m < 0 or k < 0:
-        raise ValueError("binomial is defined for nonnegative arguments only")
-    return math.comb(m, k)
 
 
 class HVector:
@@ -114,11 +106,11 @@ class MacaulayExpansion(NamedTuple):
 
     def value(self) -> int:
         """Recompose the expanded integer."""
-        return sum(binomial(m, k) for m, k in self.terms)
+        return sum(math.comb(m, k) for m, k in self.terms)
 
     def lift(self) -> int:
         """Raise every term by one: sum of C(top_index + 1, degree + 1)."""
-        return sum(binomial(m + 1, k + 1) for m, k in self.terms)
+        return sum(math.comb(m + 1, k + 1) for m, k in self.terms)
 
 
 def _largest_top_index(value: int, k: int) -> int:
@@ -155,7 +147,7 @@ def macaulay_expand(a: int, d: int) -> MacaulayExpansion:
     while rem > 0:
         m = _largest_top_index(rem, k)
         terms.append((m, k))
-        rem -= binomial(m, k)
+        rem -= math.comb(m, k)
         k -= 1
     return MacaulayExpansion(degree=d, terms=tuple(terms))
 

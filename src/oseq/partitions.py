@@ -13,16 +13,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ResourceLimitError, TheoremViolationError
+from .errors import ResourceLimitError
 
 __all__ = [
     "DEFAULT_TABLE_LIMIT",
     "PartitionTable",
     "AsymptoticEstimate",
-    "PQCheck",
     "build_partition_table",
     "hardy_ramanujan",
-    "check_pq_inequality",
 ]
 
 DEFAULT_TABLE_LIMIT = 100_000
@@ -34,12 +32,6 @@ class PartitionTable(NamedTuple):
     limit: int
     p_values: tuple[int, ...]
     q_values: tuple[int, ...]
-
-    def p(self, n: int) -> int:
-        return self.p_values[n]
-
-    def q(self, n: int) -> int:
-        return self.q_values[n]
 
 
 def _pentagonal_sum(
@@ -67,7 +59,7 @@ def _check_table_limit(limit: int) -> None:
     """Refuse a partition table above ``DEFAULT_TABLE_LIMIT``, before any work."""
     if limit > DEFAULT_TABLE_LIMIT:
         raise ResourceLimitError(
-            f"partition table limit {limit} exceeds the configured maximum {DEFAULT_TABLE_LIMIT}"
+            f"partition table limit {limit} exceeds the maximum {DEFAULT_TABLE_LIMIT}"
         )
 
 
@@ -158,39 +150,3 @@ def hardy_ramanujan(
         # math.log on a big int keeps full magnitude, so this works for any n.
         ratio = math.exp(math.log(table.p_values[n]) - log_estimate)
     return AsymptoticEstimate(n=n, estimate=estimate, log_space=log_space, ratio=ratio)
-
-
-class PQCheck(NamedTuple):
-    n: int
-    p_prev: int
-    q_n: int
-    strict: bool
-
-
-def check_pq_inequality(limit: int, table: PartitionTable | None = None) -> list[PQCheck]:
-    """Compare p(n-1) against q(n) for every 1 <= n <= limit.
-
-    p(n-1) >= q(n) always, strictly exactly when n >= 4; both facts are
-    theorems, so any violation raises TheoremViolationError (a bug, not
-    bad input).
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if table is None or table.limit < limit:
-        table = build_partition_table(limit)
-    results: list[PQCheck] = []
-    for n in range(1, limit + 1):
-        p_prev = table.p_values[n - 1]
-        q_n = table.q_values[n]
-        if p_prev < q_n:
-            raise TheoremViolationError(
-                f"p(n-1) >= q(n) failed at n={n}: {p_prev} < {q_n}", n=n
-            )
-        strict = p_prev > q_n
-        if strict != (n >= 4):
-            raise TheoremViolationError(
-                f"strictness of p(n-1) > q(n) is wrong at n={n}: "
-                f"p={p_prev}, q={q_n}", n=n
-            )
-        results.append(PQCheck(n=n, p_prev=p_prev, q_n=q_n, strict=strict))
-    return results

@@ -1,7 +1,9 @@
 """Shared fixtures.
 
 The partition table and the census counter are the two expensive objects in
-the suite, so both are built once per session and handed out read-only.
+the suite, so both are built once per session and handed out read-only. The
+generate-and-test oracle is built once too, for the tests that check the
+counter and the enumeration against it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import pathlib
 import pytest
 
 from oseq.census import CensusCounter, build_census
+from oseq.macaulay import is_o_sequence
 from oseq.partitions import build_partition_table
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -29,6 +32,30 @@ def census_counter():
 @pytest.fixture(scope="session")
 def census_table():
     return build_census(60)
+
+
+def compositions(total: int):
+    """Every ordered tuple of positive integers summing to ``total``."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first, *rest)
+
+
+@pytest.fixture(scope="session")
+def filtered_compositions():
+    """n -> every O-sequence of length n, n = 1..12, in lexicographic order.
+
+    Generate and test: every 1-prefixed composition of n, kept when
+    ``is_o_sequence`` accepts it. It shares no code with the census besides
+    that validity test.
+    """
+    return {
+        n: sorted((1, *tail) for tail in compositions(n - 1) if is_o_sequence((1, *tail)).valid)
+        for n in range(1, 13)
+    }
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from oseq.bounds import (
     staircase_decompose,
     verify_tail_partition,
 )
-from oseq.census import CensusTable, build_census, enumerate_osequences
+from oseq.census import CensusTable, enumerate_osequences
 from oseq.cli import main
 from oseq.errors import TheoremViolationError
 from oseq.macaulay import HVector, pseudopower
@@ -206,9 +206,9 @@ def test_bounds_report_small_range(census_table, partition_table):
 
 def test_bounds_envelopes_match_direct_computation(census_table, partition_table):
     report = build_bounds_report(census_table, partition_table)
-    c1 = min(math.log(census_table.count(n)) / math.sqrt(n) for n in range(3, 61))
+    c1 = min(math.log(census_table.records[n]) / math.sqrt(n) for n in range(3, 61))
     c2 = max(
-        math.log(census_table.count(n)) / (math.sqrt(n) * math.log(n))
+        math.log(census_table.records[n]) / (math.sqrt(n) * math.log(n))
         for n in range(3, 61)
     )
     assert report.c1_min == pytest.approx(c1, rel=1e-12)

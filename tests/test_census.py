@@ -18,7 +18,6 @@ from oseq.census import (
     CensusTable,
     _fold_tails,
     _tails,
-    brute_force_count,
     build_census,
     count_osequences,
     enumerate_osequences,
@@ -27,26 +26,9 @@ from oseq.census import (
 from oseq.cli import main
 from oseq.errors import EnumerationCapError, ResourceLimitError
 from oseq.macaulay import HVector, is_o_sequence
-from oseq.partitions import build_partition_table, check_pq_inequality
+from oseq.partitions import build_partition_table
 
 KNOWN_COUNTS = [1, 1, 2, 3, 5, 8, 12, 18, 27, 40, 57, 82]  # n = 1..12
-
-
-def compositions(total: int):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            yield (first, *rest)
-
-
-def filtered_compositions(n: int) -> list[tuple[int, ...]]:
-    out = [
-        (1, *tail) for tail in compositions(n - 1) if is_o_sequence((1, *tail)).valid
-    ]
-    out.sort()
-    return out
 
 
 def test_small_counts():
@@ -58,9 +40,9 @@ def test_known_counts_through_twelve(census_counter):
     assert census_counter.count(16) == 313
 
 
-def test_counter_agrees_with_brute_force(census_counter):
+def test_counter_agrees_with_brute_force(census_counter, filtered_compositions):
     for n in range(1, 13):
-        assert census_counter.count(n) == brute_force_count(n), n
+        assert census_counter.count(n) == len(filtered_compositions[n]), n
 
 
 def test_prefix_tail_oracle_through_60(census_table):
@@ -103,7 +85,7 @@ def test_prefix_tail_oracle_through_60(census_table):
         sum(c * bounded[n - s][j] for (s, j), c in prefixes.items() if s <= n)
         for n in range(1, limit + 1)
     ]
-    assert oracle == [census_table.count(n) for n in range(1, limit + 1)]
+    assert oracle == [census_table.records[n] for n in range(1, limit + 1)]
 
 
 def test_count_edge_cases():
@@ -234,11 +216,6 @@ def test_top_layer_at_every_boundary():
         assert CensusCounter().count(n) == one_pass.records[n], n
 
 
-def test_brute_force_hard_cap():
-    with pytest.raises(ResourceLimitError):
-        brute_force_count(17)
-
-
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -246,20 +223,16 @@ def test_brute_force_hard_cap():
         # enumerate refuses at call time, before anything is iterated
         (lambda: enumerate_osequences(0), ValueError),
         (lambda: enumerate_osequences(3, cap=0), ValueError),
-        (lambda: brute_force_count(0), ValueError),
         (lambda: build_census(0), ValueError),
         (lambda: staircase_decompose(5, 0), ValueError),
-        (lambda: check_pq_inequality(0), ValueError),
         (lambda: build_bounds_report(CensusTable({}, 0), build_partition_table(3)), ValueError),
     ],
     ids=[
         "precritical_prefixes",
         "enumerate_n",
         "enumerate_cap",
-        "brute_force_count",
         "build_census",
         "staircase_degree",
-        "check_pq_inequality",
         "build_bounds_report",
     ],
 )
@@ -292,9 +265,9 @@ def test_enumerate_yields_hvectors_in_lex_order(census_counter):
         assert all(is_o_sequence(t).valid for t in tuples)
 
 
-def test_enumerate_matches_composition_filter(census_counter):
+def test_enumerate_matches_composition_filter(census_counter, filtered_compositions):
     for n in range(1, 13):
-        expected = filtered_compositions(n)
+        expected = filtered_compositions[n]
         got = [tuple(h) for h in enumerate_osequences(n, counter=census_counter)]
         assert got == expected
         assert len(got) == census_counter.count(n)
@@ -368,18 +341,18 @@ def test_enumerate_checks_each_piece_on_the_cli_path(monkeypatch, plant, message
 
 def test_count_monotone_in_total(census_table):
     for n in range(1, census_table.max_n):
-        assert census_table.count(n + 1) >= census_table.count(n)
+        assert census_table.records[n + 1] >= census_table.records[n]
 
 
 def test_lower_bound_and_first_strict_excess(census_table, partition_table):
     for n in range(1, 41):
-        assert census_table.count(n) >= partition_table.p(n - 1)
+        assert census_table.records[n] >= partition_table.p_values[n - 1]
     first_strict = next(
-        n for n in range(1, 41) if census_table.count(n) > partition_table.p(n - 1)
+        n for n in range(1, 41) if census_table.records[n] > partition_table.p_values[n - 1]
     )
     assert first_strict == 6
-    assert census_table.count(6) == 8
-    assert partition_table.p(5) == 7
+    assert census_table.records[6] == 8
+    assert partition_table.p_values[5] == 7
 
 
 def test_census_table_shape(census_table):
@@ -388,9 +361,9 @@ def test_census_table_shape(census_table):
     assert sorted(census_table.records) == list(range(1, 61))
 
 
-def test_build_census_without_cache_matches(census_table):
+def test_build_census_to_10_matches_the_pass_to_60(census_table):
     table = build_census(10)
-    assert all(table.count(n) == census_table.count(n) for n in range(1, 11))
+    assert all(table.records[n] == census_table.records[n] for n in range(1, 11))
 
 
 # ---------------------------------------------------------------------------
@@ -440,4 +413,4 @@ def test_build_census_survives_corrupt_cache(capsys, monkeypatch, tmp_path):
     assert census_csv_with_leftover_cache(capsys, monkeypatch, path, 6) == expected_csv(6)
     assert path.read_text(encoding="utf-8") == "garbage"
     table = build_census(6)
-    assert [table.count(n) for n in range(1, 7)] == KNOWN_COUNTS[:6]
+    assert [table.records[n] for n in range(1, 7)] == KNOWN_COUNTS[:6]

@@ -381,6 +381,14 @@ def test_partitions_log_space(capsys, schema_dir):
     assert math.exp(log_est) == pytest.approx(plain_est, rel=1e-12)
 
 
+@pytest.mark.parametrize("extra", [("--log-space",), ("--format", "csv")], ids=["log-space", "csv"])
+def test_partitions_above_the_table_maximum_exits_two(capsys, extra):
+    # Without --log-space, table and json refuse the estimate's overflow first.
+    code, out, err = run_cli(capsys, "partitions", "--max-n", str(DEFAULT_TABLE_LIMIT + 1), *extra)
+    assert (code, out) == (2, "")
+    assert err == "error: partition table limit 100001 exceeds the maximum 100000\n"
+
+
 def test_partitions_overflow_refused_before_the_table(capsys, monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("the table is built before the overflow check")

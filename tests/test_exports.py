@@ -1,4 +1,4 @@
-"""The public surface: every exported name exists."""
+"""The public surface: every exported name exists, and the list is pinned."""
 
 from __future__ import annotations
 
@@ -24,3 +24,50 @@ def test_package_exports_every_module_list_once():
     assert oseq.__all__ == [name for m in modules for name in m.__all__]
     assert len(set(oseq.__all__)) == len(oseq.__all__)
     assert oseq.precritical_prefixes is oseq.census.precritical_prefixes
+
+
+# Every public name, in module order. A name added or removed here is a
+# change of the library contract, to be stated with the change.
+PUBLIC_NAMES = [
+    # bounds
+    "UPPER_BOUND_RELATIVE_SLACK",
+    "BoundsRecord",
+    "BoundsReport",
+    "StaircaseDecomposition",
+    "RemarkReport",
+    "critical_index",
+    "verify_tail_partition",
+    "check_prefix_bound",
+    "build_bounds_report",
+    "staircase_decompose",
+    "remark_profile",
+    # census
+    "DEFAULT_STREAM_CAP",
+    "CensusCounter",
+    "CensusTable",
+    "count_osequences",
+    "enumerate_osequences",
+    "precritical_prefixes",
+    "build_census",
+    # errors
+    "ResourceLimitError",
+    "EnumerationCapError",
+    "TheoremViolationError",
+    # macaulay
+    "HVector",
+    "MacaulayExpansion",
+    "ValidityReport",
+    "macaulay_expand",
+    "pseudopower",
+    "is_o_sequence",
+    # partitions
+    "DEFAULT_TABLE_LIMIT",
+    "PartitionTable",
+    "AsymptoticEstimate",
+    "build_partition_table",
+    "hardy_ramanujan",
+]
+
+
+def test_public_names_are_pinned():
+    assert oseq.__all__ == PUBLIC_NAMES

@@ -7,11 +7,12 @@ is slow but has no shared code with the implementation under test.
 
 from __future__ import annotations
 
+import math
 import threading
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from oseq.macaulay import (
@@ -20,42 +21,10 @@ from oseq.macaulay import (
     REASON_ZERO_ENTRY,
     HVector,
     MacaulayExpansion,
-    binomial,
     is_o_sequence,
     macaulay_expand,
     pseudopower,
 )
-
-# ---------------------------------------------------------------------------
-# binomial
-
-
-def pascal_row(n: int) -> list[int]:
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row
-
-
-def test_binomial_against_pascal_triangle():
-    for n in range(12):
-        row = pascal_row(n)
-        for k in range(n + 1):
-            assert binomial(n, k) == row[k]
-
-
-def test_binomial_large_value():
-    assert binomial(60, 30) == pascal_row(60)[30]
-    assert binomial(60, 30) == 118264581564861424
-
-
-def test_binomial_out_of_range():
-    assert binomial(3, 5) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
-
 
 # ---------------------------------------------------------------------------
 # macaulay_expand
@@ -105,8 +74,8 @@ def test_expand_huge_values(a, d):
     assert expansion.value() == a
     rem = a
     for m, k in expansion.terms:
-        assert binomial(m, k) <= rem < binomial(m + 1, k), (m, k)
-        rem -= binomial(m, k)
+        assert math.comb(m, k) <= rem < math.comb(m + 1, k), (m, k)
+        rem -= math.comb(m, k)
 
 
 def all_expansions(d: int, limit: int) -> list[tuple[tuple[int, int], ...]]:
@@ -120,7 +89,7 @@ def all_expansions(d: int, limit: int) -> list[tuple[tuple[int, int], ...]]:
             return
         m = k
         while m < upper:
-            new_val = val + binomial(m, k)
+            new_val = val + math.comb(m, k)
             if new_val > limit:
                 break
             rec(k - 1, m, terms + ((m, k),), new_val)
@@ -136,7 +105,7 @@ def test_expansion_unique_and_complete_small():
     for d in range(1, 6):
         seen: dict[int, tuple] = {}
         for terms in all_expansions(d, limit):
-            value = sum(binomial(m, k) for m, k in terms)
+            value = sum(math.comb(m, k) for m, k in terms)
             assert value not in seen, (d, value, terms, seen[value])
             seen[value] = terms
         assert set(seen) == set(range(1, limit + 1))

@@ -8,11 +8,10 @@ import math
 import pytest
 
 from oseq.cli import main
-from oseq.errors import ResourceLimitError, TheoremViolationError
+from oseq.errors import ResourceLimitError
 from oseq.partitions import (
     DEFAULT_TABLE_LIMIT,
     build_partition_table,
-    check_pq_inequality,
     hardy_ramanujan,
 )
 
@@ -67,21 +66,21 @@ def gen_partitions(n: int, max_part: int | None = None):
 
 
 def test_prefix_values(partition_table):
-    assert [partition_table.p(n) for n in range(11)] == P_PREFIX
-    assert [partition_table.q(n) for n in range(11)] == Q_PREFIX
-    assert partition_table.p(100) == 190569292
+    assert [partition_table.p_values[n] for n in range(11)] == P_PREFIX
+    assert [partition_table.q_values[n] for n in range(11)] == Q_PREFIX
+    assert partition_table.p_values[100] == 190569292
 
 
 def test_p_matches_coin_change_oracle(partition_table):
     oracle = naive_partition_counts(300)
-    assert [partition_table.p(n) for n in range(301)] == oracle
+    assert [partition_table.p_values[n] for n in range(301)] == oracle
 
 
 def test_q_matches_odd_parts_identity(partition_table):
     # Euler: partitions into distinct parts and into odd parts are
     # equinumerous, and the odd-parts count comes from a different DP.
     oracle = odd_part_counts(300)
-    assert [partition_table.q(n) for n in range(301)] == oracle
+    assert [partition_table.q_values[n] for n in range(301)] == oracle
 
 
 def test_q_matches_odd_parts_identity_through_2000(table_10000):
@@ -97,8 +96,8 @@ def test_partition_goldens_through_10000(table_10000):
     ):
         digits = ",".join(str(v) for v in values)
         assert hashlib.sha256(digits.encode()).hexdigest() == digest
-    assert table_10000.p(10000) == GOLDEN_P_10000
-    assert table_10000.q(10000) == GOLDEN_Q_10000
+    assert table_10000.p_values[10000] == GOLDEN_P_10000
+    assert table_10000.q_values[10000] == GOLDEN_Q_10000
 
 
 # Oracles over the whole 10 000 table that share no code with the pentagonal
@@ -142,7 +141,7 @@ def test_q_matches_direct_enumeration(partition_table):
         distinct = sum(
             1 for parts in gen_partitions(n) if len(set(parts)) == len(parts)
         )
-        assert partition_table.q(n) == distinct
+        assert partition_table.q_values[n] == distinct
 
 
 def test_table_invariants(partition_table):
@@ -150,10 +149,10 @@ def test_table_invariants(partition_table):
     assert len(partition_table.p_values) == limit + 1
     assert len(partition_table.q_values) == limit + 1
     for n in range(limit + 1):
-        assert partition_table.p(n) >= partition_table.q(n) >= 1
+        assert partition_table.p_values[n] >= partition_table.q_values[n] >= 1
     for n in range(limit):
-        assert partition_table.p(n + 1) >= partition_table.p(n)
-        assert partition_table.q(n + 1) >= partition_table.q(n)
+        assert partition_table.p_values[n + 1] >= partition_table.p_values[n]
+        assert partition_table.q_values[n + 1] >= partition_table.q_values[n]
 
 
 def test_table_limit_guard():
@@ -163,32 +162,28 @@ def test_table_limit_guard():
         build_partition_table(DEFAULT_TABLE_LIMIT + 1)
 
 
+def pq_equalities(table) -> list[int]:
+    """Every n in 1..limit with p(n-1) = q(n), after asserting p(n-1) >= q(n) at each."""
+    p_values, q_values = table.p_values, table.q_values
+    assert all(p_values[n - 1] >= q_values[n] for n in range(1, table.limit + 1))
+    return [n for n in range(1, table.limit + 1) if p_values[n - 1] == q_values[n]]
+
+
 def test_pq_inequality_examples(partition_table):
-    checks = check_pq_inequality(500, table=partition_table)
-    by_n = {c.n: c for c in checks}
-    assert by_n[1].p_prev == 1 and by_n[1].q_n == 1 and not by_n[1].strict
-    assert by_n[3].p_prev == 2 and by_n[3].q_n == 2 and not by_n[3].strict
-    assert by_n[4].p_prev == 3 and by_n[4].q_n == 2 and by_n[4].strict
+    p_values, q_values = partition_table.p_values, partition_table.q_values
+    assert (p_values[0], q_values[1]) == (1, 1)
+    assert (p_values[2], q_values[3]) == (2, 2)
+    assert (p_values[3], q_values[4]) == (3, 2)
 
 
 def test_pq_strictness_pattern(partition_table):
-    """Equality for n <= 3, strict inequality from n = 4 on."""
-    checks = check_pq_inequality(500, table=partition_table)
-    assert len(checks) == 500
-    for check in checks:
-        assert check.p_prev >= check.q_n
-        assert check.strict == (check.n >= 4)
+    """p(n-1) >= q(n), with equality exactly for n <= 3, through 500."""
+    assert partition_table.limit == 500
+    assert pq_equalities(partition_table) == [1, 2, 3]
 
 
 def test_pq_strictness_pattern_through_10000(table_10000):
-    checks = check_pq_inequality(10000, table=table_10000)
-    assert len(checks) == 10000
-    assert [c.n for c in checks if not c.strict] == [1, 2, 3]
-
-
-def test_pq_check_builds_its_own_table():
-    checks = check_pq_inequality(40)
-    assert [c.strict for c in checks[:4]] == [False, False, False, True]
+    assert pq_equalities(table_10000) == [1, 2, 3]
 
 
 def test_hardy_ramanujan_at_one():
@@ -233,19 +228,3 @@ def test_hardy_ramanujan_ratio_needs_coverage(partition_table):
 def test_write_csv_exact_output(capsys):
     assert main(["partitions", "--max-n", "3", "--format", "csv"]) == 0
     assert capsys.readouterr().out == "n,p,q\n0,1,1\n1,1,1\n2,2,1\n3,3,2\n"
-
-
-def test_pq_guard_trips_on_corrupt_table(partition_table):
-    broken = build_partition_table(10)
-    broken = broken._replace(q_values=tuple([*broken.q_values[:5], 999, *broken.q_values[6:]]))
-    with pytest.raises(TheoremViolationError):
-        check_pq_inequality(10, table=broken)
-
-
-def test_pq_guard_trips_on_lost_strictness():
-    broken = build_partition_table(10)
-    q_values = list(broken.q_values)
-    q_values[4] = broken.p_values[3]  # q(4) = p(3) = 3, where p(n-1) > q(n) must be strict
-    broken = broken._replace(q_values=tuple(q_values))
-    with pytest.raises(TheoremViolationError, match="strictness .* wrong at n=4"):
-        check_pq_inequality(10, table=broken)
