@@ -6,8 +6,10 @@ strings, schemas shipped under schemas/). Each runner describes its output
 once, and ``_render`` writes it in the chosen format, streaming long record
 lists in chunks. Exit codes: 0 success, 1 invalid input sequence, 2
 resource-limit refusal or bad usage, 3 theorem-backed invariant violation
-(always a bug). ``bounds``, ``partitions`` and ``json`` are imported by the
-runners that use them, so a job loads only what it runs.
+(always a bug). ``census``, ``macaulay``, ``bounds``, ``partitions`` and
+``json`` are imported by the runners that use them, so a job loads only what
+it runs: ``partitions`` loads neither ``census`` nor ``macaulay``, and
+``check`` does not load ``census``.
 """
 
 from __future__ import annotations
@@ -17,15 +19,7 @@ import sys
 from itertools import chain, islice
 from typing import Any, Iterable, Iterator, NamedTuple
 
-from .census import (
-    DEFAULT_STREAM_CAP,
-    CensusCounter,
-    _osequence_blocks,
-    build_census,
-    count_osequences,
-)
 from .errors import ResourceLimitError, TheoremViolationError
-from .macaulay import HVector, is_o_sequence
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -81,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         metavar="K",
-        default=DEFAULT_STREAM_CAP,
         help="refuse to stream more than K sequences",
     )
 
@@ -186,6 +179,8 @@ def _render(output: _Output, fmt: str) -> None:
 
 
 def _run_check(args: argparse.Namespace) -> int:
+    from .macaulay import is_o_sequence
+
     report = is_o_sequence(args.sequence)
     seq = ",".join(map(str, args.sequence))
     if report.valid:
@@ -204,6 +199,8 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _run_count(args: argparse.Namespace) -> int:
+    from .census import count_osequences
+
     count = count_osequences(args.n)
     _render(_Output({"n": args.n, "L": str(count)}, ("n", "L"), [f"L({args.n}) = {count}"]), args.fmt)
     return EXIT_OK
@@ -214,8 +211,11 @@ _SEQUENCE_ROW = {"table": ("", ",", ""), "csv": ("", " ", ""), "json": ("[", ","
 
 
 def _run_enumerate(args: argparse.Namespace) -> int:
+    from .census import DEFAULT_STREAM_CAP, CensusCounter, _osequence_blocks
+
     counter = CensusCounter()
-    blocks = _osequence_blocks(args.n, cap=args.cap, counter=counter)
+    cap = DEFAULT_STREAM_CAP if args.cap is None else args.cap
+    blocks = _osequence_blocks(args.n, cap=cap, counter=counter)
     opening, separator, closing = _SEQUENCE_ROW[args.fmt]
     joiner = "," if args.fmt == "json" else "\n"  # between rows, as _render joins records
 
@@ -250,6 +250,8 @@ def _run_enumerate(args: argparse.Namespace) -> int:
 
 
 def _run_census(args: argparse.Namespace) -> int:
+    from .census import build_census
+
     table = build_census(args.max_n)
     lengths = range(1, table.max_n + 1)
     n_width = len(str(table.max_n))
@@ -267,6 +269,7 @@ def _run_census(args: argparse.Namespace) -> int:
 
 def _run_bounds(args: argparse.Namespace) -> int:
     from .bounds import build_bounds_report
+    from .census import build_census
     from .partitions import build_partition_table
 
     # build_census refuses a length above the census maximum (6000) before
@@ -308,9 +311,23 @@ def _run_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_partitions(args: argparse.Namespace) -> int:
-    from .partitions import build_partition_table, hardy_ramanujan
+# How a partitions row is written: row 0, which has no estimate, and then
+# rows 1..limit, from (n, p, q, estimate, ratio). csv prints no estimate.
+_PARTITIONS_ROW = {
+    "table": ("{:>6} {:>24} {:>24}", "{:>6} {:>24} {:>24} {:>16.6g} {:>10.6f}"),
+    "csv": ("{},{},{}", "{},{},{}"),
+    "json": (
+        '{{"n":{},"p":"{}","q":"{}"}}',
+        '{{"n":{},"p":"{}","q":"{}","hr_estimate":{!r},"hr_ratio":{!r}}}',
+    ),
+}
 
+
+def _run_partitions(args: argparse.Namespace) -> int:
+    from .partitions import _check_table_limit, _estimates, build_partition_table, hardy_ramanujan
+
+    # The limit first: above it, --log-space would not get past the build.
+    _check_table_limit(args.max_n)
     # Only table and json print the estimate; csv has no column for it, so
     # it neither computes the estimate nor refuses on its overflow.
     estimated = args.fmt != "csv"
@@ -325,30 +342,25 @@ def _run_partitions(args: argparse.Namespace) -> int:
             ) from None
     table = build_partition_table(args.max_n)
 
-    def rows():
-        for n in range(table.limit + 1):
-            est = hardy_ramanujan(n, table=table, log_space=args.log_space) if n and estimated else None
-            yield n, table.p_values[n], table.q_values[n], est
-
-    label = "ln(estimate)" if args.log_space else "estimate"
-    lines = chain(
-        [f"{'n':>6} {'p':>24} {'q':>24} {label:>16} {'ratio':>10}"],
-        (
-            f"{n:>6} {p:>24} {q:>24}" + (f" {e.estimate:>16.6g} {e.ratio:>10.6f}" if e else "")
-            for n, p, q, e in rows()
-        ),
-    )
-    records = (
-        {"n": n, "p": str(p), "q": str(q)}
-        | ({"hr_estimate": e.estimate, "hr_ratio": e.ratio} if e else {})
-        for n, p, q, e in rows()
-    )
+    # Each row is written straight to its text in the chosen format, so lines
+    # and records are one stream; a json float is its repr, as json.dumps writes it.
+    first, row = (template.format for template in _PARTITIONS_ROW[args.fmt])
+    rows = zip(range(table.limit + 1), table.p_values, table.q_values)
+    lead = [first(*next(rows))]
+    if args.fmt == "table":
+        label = "ln(estimate)" if args.log_space else "estimate"
+        lead.insert(0, f"{'n':>6} {'p':>24} {'q':>24} {label:>16} {'ratio':>10}")
+    if estimated:
+        rest = (row(*r, *e) for r, e in zip(rows, _estimates(table, args.log_space)))
+    else:
+        rest = (row(*r) for r in rows)
+    texts = chain(lead, rest)
     output = _Output(
         head={"limit": table.limit, "log_space": args.log_space},
         columns=("n", "p", "q"),
-        lines=lines,
+        lines=texts,
         key="records",
-        records=records,
+        records=texts,
     )
     _render(output, args.fmt)
     return EXIT_OK
@@ -356,6 +368,7 @@ def _run_partitions(args: argparse.Namespace) -> int:
 
 def _run_remark(args: argparse.Namespace) -> int:
     from .bounds import remark_profile
+    from .macaulay import HVector, is_o_sequence
 
     seq = ",".join(map(str, args.sequence))
     validity = is_o_sequence(args.sequence)
@@ -406,14 +419,11 @@ _RUNNERS = {
 
 def run(args: argparse.Namespace) -> int:
     """Dispatch one parsed invocation and map failures to exit codes."""
-    for field in ("n", "max_n"):
+    for field in ("n", "max_n", "cap"):
         value = getattr(args, field, None)
         if value is not None and value < 1:
             print(f"error: --{field.replace('_', '-')} must be >= 1", file=sys.stderr)
             return EXIT_RESOURCE
-    if getattr(args, "cap", 1) < 1:
-        print("error: --cap must be >= 1", file=sys.stderr)
-        return EXIT_RESOURCE
     try:
         return _RUNNERS[args.command](args)
     except (ResourceLimitError, OverflowError) as exc:

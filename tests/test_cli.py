@@ -158,7 +158,7 @@ def test_enumerate_streams_before_the_last_sequence(monkeypatch):
             return super().write(text)
 
     spy = Spy()
-    monkeypatch.setattr("oseq.cli._osequence_blocks", many)
+    monkeypatch.setattr("oseq.census._osequence_blocks", many)
     monkeypatch.setattr(sys, "stdout", spy)
     assert main(["enumerate", "--n", "3"]) == 0
     assert writes and writes[0] < total
@@ -320,7 +320,7 @@ def test_bounds_table_envelope_line(capsys):
 def test_theorem_violation_exits_three(capsys, monkeypatch):
     # A census below p(n-1) can only come from a bug, and says so on stderr.
     fake = CensusTable(records={1: 1, 2: 1, 3: 1}, max_n=3)
-    monkeypatch.setattr("oseq.cli.build_census", lambda max_n: fake)
+    monkeypatch.setattr("oseq.census.build_census", lambda max_n: fake)
     code, out, err = run_cli(capsys, "bounds", "--max-n", "3")
     assert code == 3
     assert out == ""
@@ -381,9 +381,14 @@ def test_partitions_log_space(capsys, schema_dir):
     assert math.exp(log_est) == pytest.approx(plain_est, rel=1e-12)
 
 
-@pytest.mark.parametrize("extra", [("--log-space",), ("--format", "csv")], ids=["log-space", "csv"])
+@pytest.mark.parametrize(
+    "extra",
+    [("--log-space",), ("--format", "csv"), ("--format", "table"), ("--format", "json")],
+    ids=["log-space", "csv", "table", "json"],
+)
 def test_partitions_above_the_table_maximum_exits_two(capsys, extra):
-    # Without --log-space, table and json refuse the estimate's overflow first.
+    # The limit is checked first: the estimate at 100001 would overflow a
+    # double too, but --log-space would not get past the limit.
     code, out, err = run_cli(capsys, "partitions", "--max-n", str(DEFAULT_TABLE_LIMIT + 1), *extra)
     assert (code, out) == (2, "")
     assert err == "error: partition table limit 100001 exceeds the maximum 100000\n"
@@ -484,6 +489,13 @@ PINNED_OUTPUTS = [
     ("partitions --max-n 12 --log-space --format table", 0, "25949d0b2d9b5542922ed827da41fd750e9596bd2514786a4b6ada1a414ddbdf"),
     ("partitions --max-n 12 --log-space --format csv", 0, "d61a588e13e65b23e4147ca471c66f2cda9bdc4257948b3de1d8136c86a286d5"),
     ("partitions --max-n 12 --log-space --format json", 0, "82bff1cec3da4216459dd8e6e027b71e71ae1d8b9f82a671a53ef8bfc110947f"),
+    # recorded from the renderer that built an estimate record and a dict per row
+    ("partitions --max-n 500 --format table", 0, "9292390b0d2bdc586776df6bbdc6779c445f15ffccffaffdf35c4664843e510d"),
+    ("partitions --max-n 500 --format csv", 0, "4d9844a3314b74b3d0e0e3649cf8489638bddfdacfa14f12202bfa49760482a0"),
+    ("partitions --max-n 500 --format json", 0, "aeb9628d131702c17377368cb50e75e3e3f082890daadcff3a02bce800824be0"),
+    ("partitions --max-n 500 --log-space --format table", 0, "f5a805b9181ffebbfd19ae4df54e1f04353e8b62e3c9888def8acc4dfef980b8"),
+    ("partitions --max-n 500 --log-space --format csv", 0, "4d9844a3314b74b3d0e0e3649cf8489638bddfdacfa14f12202bfa49760482a0"),
+    ("partitions --max-n 500 --log-space --format json", 0, "e7872c6f1968a45e6958ff93b6740ab7e6b0e45e88e287899c74aed74c3bf2ef"),
     ("remark 1,3,6,10,15,21,7,3 --format table", 0, "fd5bccf6c654263855f94305b7340e4de2575856aa961ec25156afe7364b5937"),
     ("remark 1,3,6,10,15,21,7,3 --format csv", 0, "75b885f1fe4f538ad8aaf9ab0565f1cc58377b1bc0fbcd82a4731027cefe1e6b"),
     ("remark 1,3,6,10,15,21,7,3 --format json", 0, "13934eeaf5aafd0b558647b7e8fb46787a68e066519dfa25ed22ee781fb89ef1"),
@@ -669,26 +681,37 @@ def test_importing_the_package_loads_no_module():
 
 
 def loaded_after(job: str, *argv: str) -> str:
-    """Which of oseq.bounds, oseq.partitions and json a job has loaded when its process exits."""
+    """Which of oseq.bounds, oseq.census, oseq.macaulay, oseq.partitions and
+    json a job has loaded when its process exits."""
     done = run_python(
         "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print(sorted({'oseq.bounds', 'oseq.partitions', 'json'}"
-        " & set(sys.modules)), file=sys.stderr))\n" + job,
+        "atexit.register(lambda: print(sorted({'oseq.bounds', 'oseq.census', 'oseq.macaulay',"
+        " 'oseq.partitions', 'json'} & set(sys.modules)), file=sys.stderr))\n" + job,
         *argv,
     )
     assert done.returncode == 0, done.stderr
     return done.stderr
 
 
-@pytest.mark.parametrize("argv", [("check", "1"), ("count", "--n", "5"), ("enumerate", "--n", "5")])
+# argv -> what the job loads of the modules loaded_after reports
+JOB_LOADS = {
+    ("check", "1"): "['oseq.macaulay']",
+    ("count", "--n", "5"): "['oseq.census', 'oseq.macaulay']",
+    ("enumerate", "--n", "5"): "['oseq.census', 'oseq.macaulay']",
+    ("partitions", "--max-n", "5", "--format", "csv"): "['oseq.partitions']",
+    ("partitions", "--max-n", "5", "--format", "json"): "['json', 'oseq.partitions']",
+}
+
+
+@pytest.mark.parametrize("argv", list(JOB_LOADS))
 def test_cli_jobs_load_only_what_they_run(argv):
     job = "runpy.run_module('oseq.cli', run_name='__main__', alter_sys=True)"
-    assert loaded_after(job, *argv) == "[]\n"
+    assert loaded_after(job, *argv) == JOB_LOADS[argv] + "\n"
 
 
 def test_remark_sweep_leaves_out_partitions():
     job = f"runpy.run_path({str(SWEEP_PATH)!r}, run_name='__main__')"
-    assert loaded_after(job, "--max-n", "5") == "['oseq.bounds']\n"
+    assert loaded_after(job, "--max-n", "5") == "['oseq.bounds', 'oseq.census', 'oseq.macaulay']\n"
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from operator import mul
 
 import pytest
 
@@ -11,6 +12,7 @@ from oseq.cli import main
 from oseq.errors import ResourceLimitError
 from oseq.partitions import (
     DEFAULT_TABLE_LIMIT,
+    _estimates,
     build_partition_table,
     hardy_ramanujan,
 )
@@ -28,11 +30,23 @@ GOLDEN_P_10000 = int(
 GOLDEN_Q_10000 = int(
     "1122606574548038398976040173670530159089991444775125551802871247408332723840"
 )
+# the same digests of p(0..100000) and q(0..100000), recorded from the
+# implementation that computed q by a second interpreted pentagonal loop
+GOLDEN_P_0_TO_100000_SHA256 = "5efa38ed0915c4185b921962557be0ae6f7966407b8c2e754a5a178cc271997a"
+GOLDEN_Q_0_TO_100000_SHA256 = "856c1bfd752821631ad18e2ad88597a40f239dd27e5f32e0f67c5c6757ae9a50"
+
+# Sparse points up to the table limit, of both parities: P = Q P(x^2) at n
+# reads q(r) only for r = n (mod 2).
+SPARSE_N = (
+    10001, 12345, 17389, 20000, 24999, 31415, 38000, 42001, 49999, 50000, 57121,
+    63001, 65536, 71828, 77777, 82944, 88887, 93998, 99998, 99999, 100000,
+)
 
 
 @pytest.fixture(scope="module")
-def table_10000():
-    return build_partition_table(10000)
+def table_100000():
+    """The table at its advertised limit; the tests through 10 000 read its prefix."""
+    return build_partition_table(DEFAULT_TABLE_LIMIT)
 
 
 def naive_partition_counts(limit: int) -> list[int]:
@@ -83,33 +97,52 @@ def test_q_matches_odd_parts_identity(partition_table):
     assert [partition_table.q_values[n] for n in range(301)] == oracle
 
 
-def test_q_matches_odd_parts_identity_through_2000(table_10000):
+def test_q_matches_odd_parts_identity_through_2000(table_100000):
     # q is derived from p, so this oracle, which shares no code with p,
     # also guards q against a fault in the p recurrence.
-    assert list(table_10000.q_values[:2001]) == odd_part_counts(2000)
+    assert list(table_100000.q_values[:2001]) == odd_part_counts(2000)
 
 
-def test_partition_goldens_through_10000(table_10000):
-    for values, digest in (
-        (table_10000.p_values, GOLDEN_P_0_TO_10000_SHA256),
-        (table_10000.q_values, GOLDEN_Q_0_TO_10000_SHA256),
-    ):
-        digits = ",".join(str(v) for v in values)
-        assert hashlib.sha256(digits.encode()).hexdigest() == digest
-    assert table_10000.p_values[10000] == GOLDEN_P_10000
-    assert table_10000.q_values[10000] == GOLDEN_Q_10000
+def sha256_of_values(values) -> str:
+    return hashlib.sha256(",".join(str(v) for v in values).encode()).hexdigest()
 
 
-# Oracles over the whole 10 000 table that share no code with the pentagonal
-# recurrence: Ramanujan's congruences, Euler's divisor-sum recurrence and
-# P(x) = Q(x) P(x^2), the last tying q to p (Andrews, The Theory of Partitions).
+def test_partition_goldens_through_10000(table_100000):
+    assert sha256_of_values(table_100000.p_values[:10001]) == GOLDEN_P_0_TO_10000_SHA256
+    assert sha256_of_values(table_100000.q_values[:10001]) == GOLDEN_Q_0_TO_10000_SHA256
+    assert table_100000.p_values[10000] == GOLDEN_P_10000
+    assert table_100000.q_values[10000] == GOLDEN_Q_10000
 
 
-@pytest.mark.parametrize("modulus, residue", [(5, 4), (7, 5), (11, 6)])
-def test_ramanujan_congruences_through_10000(table_10000, modulus, residue):
-    p_values = table_10000.p_values
-    missed = [n for n in range(residue, len(p_values), modulus) if p_values[n] % modulus]
-    assert missed == []
+def test_partition_goldens_through_100000(table_100000):
+    assert table_100000.limit == len(table_100000.q_values) - 1 == 100000
+    assert sha256_of_values(table_100000.p_values) == GOLDEN_P_0_TO_100000_SHA256
+    assert sha256_of_values(table_100000.q_values) == GOLDEN_Q_0_TO_100000_SHA256
+
+
+# Oracles that share no code with the pentagonal recurrence: Ramanujan's
+# congruences, Euler's divisor-sum recurrence and P(x) = Q(x) P(x^2), the
+# last tying q to p (Andrews, The Theory of Partitions). The two recurrences
+# run at chosen points, the congruences at every n of their residue class.
+
+RAMANUJAN_CONGRUENCES = [(5, 4), (7, 5), (11, 6)]
+
+
+def ramanujan_misses(p_values, modulus: int, residue: int, start: int, stop: int) -> list[int]:
+    """Every n in [start, stop) with n = residue (mod modulus) whose p(n) the modulus does not divide."""
+    first = start + (residue - start) % modulus
+    return [n for n in range(first, stop, modulus) if p_values[n] % modulus]
+
+
+@pytest.mark.parametrize("modulus, residue", RAMANUJAN_CONGRUENCES)
+def test_ramanujan_congruences_through_10000(table_100000, modulus, residue):
+    assert ramanujan_misses(table_100000.p_values, modulus, residue, 0, 10001) == []
+
+
+@pytest.mark.parametrize("modulus, residue", RAMANUJAN_CONGRUENCES)
+def test_ramanujan_congruences_from_10001_to_100000(table_100000, modulus, residue):
+    # one residue test per n is cheap, so this checks every n, not sparse ones
+    assert ramanujan_misses(table_100000.p_values, modulus, residue, 10001, 100001) == []
 
 
 def divisor_sums(limit: int) -> list[int]:
@@ -121,19 +154,36 @@ def divisor_sums(limit: int) -> list[int]:
     return sigma
 
 
-def test_euler_divisor_sum_recurrence_through_10000(table_10000):
-    # n p(n) = sum over 1 <= k <= n of sigma(k) p(n - k)
-    p_values = table_10000.p_values
+def euler_holds(p_values, sigma, n: int) -> bool:
+    """n p(n) = sum over 1 <= k <= n of sigma(k) p(n - k)."""
+    return n * p_values[n] == sum(map(mul, sigma[1 : n + 1], reversed(p_values[:n])))
+
+
+def p_is_q_times_p_of_half(p_values, q_values, n: int) -> bool:
+    """P(x) = Q(x) P(x^2): p(n) = sum over 0 <= 2m <= n of q(n - 2m) p(m)."""
+    return p_values[n] == sum(map(mul, q_values[n::-2], p_values[: n // 2 + 1]))
+
+
+def test_euler_divisor_sum_recurrence_through_10000(table_100000):
     sigma = divisor_sums(10000)
     for n in (1, 2, 7, 60, 499, 1001, 2024, 4999, 7776, 9999, 10000):
-        assert n * p_values[n] == sum(sigma[k] * p_values[n - k] for k in range(1, n + 1)), n
+        assert euler_holds(table_100000.p_values, sigma, n), n
 
 
-def test_p_is_q_times_p_of_half_through_10000(table_10000):
-    # P(x) = Q(x) P(x^2): p(n) = sum over 0 <= 2m <= n of q(n - 2m) p(m)
-    p_values, q_values = table_10000.p_values, table_10000.q_values
+def test_euler_divisor_sum_recurrence_sparse_through_100000(table_100000):
+    sigma = divisor_sums(100000)
+    for n in SPARSE_N:
+        assert euler_holds(table_100000.p_values, sigma, n), n
+
+
+def test_p_is_q_times_p_of_half_through_10000(table_100000):
     for n in (1, 2, 3, 10, 101, 500, 4097, 8192, 9999, 10000):
-        assert p_values[n] == sum(q_values[n - 2 * m] * p_values[m] for m in range(n // 2 + 1)), n
+        assert p_is_q_times_p_of_half(table_100000.p_values, table_100000.q_values, n), n
+
+
+def test_p_is_q_times_p_of_half_sparse_through_100000(table_100000):
+    for n in SPARSE_N:
+        assert p_is_q_times_p_of_half(table_100000.p_values, table_100000.q_values, n), n
 
 
 def test_q_matches_direct_enumeration(partition_table):
@@ -162,11 +212,11 @@ def test_table_limit_guard():
         build_partition_table(DEFAULT_TABLE_LIMIT + 1)
 
 
-def pq_equalities(table) -> list[int]:
+def pq_equalities(table, limit: int) -> list[int]:
     """Every n in 1..limit with p(n-1) = q(n), after asserting p(n-1) >= q(n) at each."""
     p_values, q_values = table.p_values, table.q_values
-    assert all(p_values[n - 1] >= q_values[n] for n in range(1, table.limit + 1))
-    return [n for n in range(1, table.limit + 1) if p_values[n - 1] == q_values[n]]
+    assert all(p_values[n - 1] >= q_values[n] for n in range(1, limit + 1))
+    return [n for n in range(1, limit + 1) if p_values[n - 1] == q_values[n]]
 
 
 def test_pq_inequality_examples(partition_table):
@@ -179,11 +229,11 @@ def test_pq_inequality_examples(partition_table):
 def test_pq_strictness_pattern(partition_table):
     """p(n-1) >= q(n), with equality exactly for n <= 3, through 500."""
     assert partition_table.limit == 500
-    assert pq_equalities(partition_table) == [1, 2, 3]
+    assert pq_equalities(partition_table, 500) == [1, 2, 3]
 
 
-def test_pq_strictness_pattern_through_10000(table_10000):
-    assert pq_equalities(table_10000) == [1, 2, 3]
+def test_pq_strictness_pattern_through_10000(table_100000):
+    assert pq_equalities(table_100000, 10000) == [1, 2, 3]
 
 
 def test_hardy_ramanujan_at_one():
@@ -223,6 +273,18 @@ def test_hardy_ramanujan_ratio_needs_coverage(partition_table):
     assert est.ratio is None
     with pytest.raises(ValueError):
         hardy_ramanujan(0)
+
+
+@pytest.mark.parametrize("log_space", [False, True], ids=["plain", "log-space"])
+def test_estimate_loop_equals_hardy_ramanujan(log_space):
+    # The CLI prints the loop's floats, so they must be hardy_ramanujan's to the bit.
+    table = build_partition_table(2000)
+    expected = [
+        (e.estimate, e.ratio)
+        for e in (hardy_ramanujan(n, table=table, log_space=log_space) for n in range(1, 2001))
+    ]
+    got = list(_estimates(table, log_space))
+    assert [(e.hex(), r.hex()) for e, r in got] == [(e.hex(), r.hex()) for e, r in expected]
 
 
 def test_write_csv_exact_output(capsys):
