@@ -5,13 +5,14 @@ Usage:
 
 For each total n this reports L(n) and the share of sequences that pass each
 structure check: a nonincreasing tail after the critical index, a critical
-index below sqrt(2n), and the two staircase flags of ``remark_profile``. All
-four are theorems, so every column reads 100.0%.
+index below sqrt(2n), and the two halves of the staircase window lemma that
+``remark_profile`` asserts (t never rises, and alpha never rises while t
+stays). All four are theorems, so every column reads 100.0%.
 
 No sequence is visited. Every O-sequence is a pre-critical prefix of length
 j and sum s followed by a partition of n - s into parts <= j. One walk over
 the prefixes to --max-n asserts the three prefix checks ("prefix ok" is
-j^2 < 2s <= 2n; the staircase flags hold when each prefix's last
+j^2 < 2s <= 2n; the staircase columns hold when each prefix's last
 decomposition follows its parent's by the window lemma in ``oseq.bounds``)
 and counts N_j(s), and the census's tail fold turns the counts into per-n
 sequence counts. The tail is a partition by construction; what backs "tail
@@ -71,6 +72,7 @@ def main() -> int:
         f"{'t monotone':>11} {'alpha monotone':>15}"
     )
     print(header)
+    ok = "100.0%"  # every sequence passed every check, or the loop has returned
     for n in range(1, args.max_n + 1):
         total = totals[n]
         if total != counter.count(n):
@@ -78,7 +80,6 @@ def main() -> int:
                 f"the prefix weights sum to {total} at n={n}, "
                 f"but the census counts {counter.count(n)}"
             )
-        ok = f"{100.0 * total / total:>6.1f}%"  # every sequence passed every check
         print(f"{n:>3} {total:>8} {ok:>8} {ok:>9} {ok:>11} {ok:>15}")
     return 0
 

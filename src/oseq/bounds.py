@@ -3,13 +3,15 @@
 For every computed length n the census count is squeezed between the exact
 partition number p(n-1) (big-integer comparison) and the product
 sqrt(2n) * p(n) * n^sqrt(2n), checked in log space. Both inequalities are
-theorems: a violation is an implementation bug and raises.
+theorems: a violation is an implementation bug and raises, so no record
+stores a pass/fail flag.
 
 The per-sequence operations expose the structure behind the upper bound:
 the critical index (first degree where the value drops to the degree or
 below), the nonincreasing tail beyond it, and the staircase decomposition
 of entries in the pre-critical window, whose (t, alpha) never rises from
-one degree to the next (the window lemma at ``_staircase_step_holds``).
+one degree to the next (the window lemma at ``_staircase_step_holds``,
+asserted the same way).
 """
 
 from __future__ import annotations
@@ -76,9 +78,10 @@ def check_prefix_bound(h: HVector) -> bool:
 class BoundsRecord(NamedTuple):
     """One length's count with its lower and upper bound data.
 
-    ``count`` is exact; ``lower`` is p(n-1). ``log_upper`` is
-    ln sqrt(2n) + ln p(n) + sqrt(2n) * ln n, natural logs throughout.
-    The empirical constants are ln(count)/sqrt(n) and
+    Both bounds hold: ``build_bounds_report`` raises before it would build a
+    record that breaks either. ``count`` is exact; ``lower`` is p(n-1).
+    ``log_upper`` is ln sqrt(2n) + ln p(n) + sqrt(2n) * ln n, natural logs
+    throughout. The empirical constants are ln(count)/sqrt(n) and
     ln(count)/(sqrt(n) * ln n); the latter is undefined at n = 1.
     """
 
@@ -88,8 +91,6 @@ class BoundsRecord(NamedTuple):
     log_upper: float
     c1_emp: float | None
     c2_emp: float | None
-    lower_ok: bool
-    upper_ok: bool
 
 
 class BoundsReport(NamedTuple):
@@ -117,31 +118,18 @@ def build_bounds_report(census: CensusTable, partitions: PartitionTable) -> Boun
         log_count = math.log(count)
         root = math.sqrt(2.0 * n)
         log_upper = math.log(root) + math.log(partitions.p_values[n]) + root * math.log(n)
-        lower_ok = lower <= count
-        upper_ok = log_count <= log_upper + UPPER_BOUND_RELATIVE_SLACK * abs(log_upper)
-        if not lower_ok:
+        if lower > count:
             raise TheoremViolationError(
                 f"lower bound p(n-1) <= count failed at n={n}: {lower} > {count}", n=n
             )
-        if not upper_ok:
+        if log_count > log_upper + UPPER_BOUND_RELATIVE_SLACK * abs(log_upper):
             raise TheoremViolationError(
                 f"log-space upper bound failed at n={n}: "
                 f"ln count {log_count} > {log_upper}", n=n
             )
         c1 = log_count / math.sqrt(n)
         c2 = log_count / (math.sqrt(n) * math.log(n)) if n >= 2 else None
-        records.append(
-            BoundsRecord(
-                n=n,
-                count=count,
-                lower=lower,
-                log_upper=log_upper,
-                c1_emp=c1,
-                c2_emp=c2,
-                lower_ok=lower_ok,
-                upper_ok=upper_ok,
-            )
-        )
+        records.append(BoundsRecord(n, count, lower, log_upper, c1, c2))
     tail = [r for r in records if r.n >= 3]
     c1_min = min((r.c1_emp for r in tail), default=None)
     c2_max = max((r.c2_emp for r in tail), default=None)
@@ -210,15 +198,13 @@ class RemarkReport(NamedTuple):
     """Staircase profile of the pre-critical window of one sequence.
 
     ``decompositions`` holds one (degree, decomposition-or-None) pair for
-    every degree in [1, j-1], j the critical index. The monotonicity flags
-    (t never increases, and alpha never increases while t stays the same)
-    are always True: ``remark_profile`` asserts them by the window lemma
-    and raises on a violation.
+    every degree in [1, j-1], j the critical index. Along them t never
+    increases, and alpha never increases while t stays the same:
+    ``remark_profile`` asserts this by the window lemma and raises on a
+    violation.
     """
 
     decompositions: tuple[tuple[int, StaircaseDecomposition | None], ...]
-    t_monotone: bool
-    alpha_monotone_within_t_plateaus: bool
     first_applicable_degree: int | None
     critical_index: int
 
@@ -235,8 +221,6 @@ def remark_profile(h: HVector) -> RemarkReport:
             )
     return RemarkReport(
         decompositions=decomps,
-        t_monotone=True,
-        alpha_monotone_within_t_plateaus=True,
         first_applicable_degree=next((i for i, d in decomps if d is not None), None),
         critical_index=j,
     )

@@ -188,11 +188,9 @@ def _tails(m: int, j: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _osequence_blocks(
-    n: int,
-    cap: int = DEFAULT_STREAM_CAP,
-    counter: CensusCounter | None = None,
-) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """Yield every O-sequence of length n as blocks ``(prefix, tails)``.
+    n: int, cap: int
+) -> tuple[int, Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]]:
+    """L(n) and a stream of every O-sequence of length n as blocks ``(prefix, tails)``.
 
     The blocks follow ``precritical_prefixes(n)``; ``tails`` lists, by
     ``_tails``, the partitions of m = n - sum(prefix) into parts <= j =
@@ -203,18 +201,15 @@ def _osequence_blocks(
     per prefix and once per tail built; a concatenation passes exactly when
     both pieces do.
 
-    The exact count is computed first, by ``counter`` (a fresh one when
-    none is given); if it exceeds ``cap`` the stream is refused with an
-    EnumerationCapError carrying the count, at call time, before anything
-    is iterated.
+    The exact count is computed first, once; if it exceeds ``cap`` the
+    stream is refused with an EnumerationCapError carrying the count, at
+    call time, before anything is iterated.
     """
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
     if cap < 1:
         raise ValueError("cap must be positive")
-    if counter is None:
-        counter = CensusCounter()
-    total = counter.count(n)
+    total = count_osequences(n)
     if total > cap:
         raise EnumerationCapError(n=n, count=total, cap=cap)
 
@@ -230,19 +225,14 @@ def _osequence_blocks(
                     HVector((1, *tail))
             yield prefix, tails
 
-    return walk()
+    return total, walk()
 
 
-def enumerate_osequences(
-    n: int,
-    cap: int = DEFAULT_STREAM_CAP,
-    counter: CensusCounter | None = None,
-) -> Iterator[HVector]:
+def enumerate_osequences(n: int, cap: int = DEFAULT_STREAM_CAP) -> Iterator[HVector]:
     """Yield every O-sequence of length n, in lexicographic entry order.
 
-    The exact count is computed first, by ``counter`` (a fresh one when
-    none is given); if it exceeds ``cap`` the stream is refused with an
-    EnumerationCapError carrying the count.
+    The exact count is computed first; if it exceeds ``cap`` the stream is
+    refused with an EnumerationCapError carrying the count.
 
     Every O-sequence is a pre-critical prefix of some length j and sum s
     followed by a partition of n - s into parts <= j, because x^<d> = x
@@ -255,7 +245,7 @@ def enumerate_osequences(
     the flattening of ``_osequence_blocks``, which the CLI renders block by
     block.
     """
-    blocks = _osequence_blocks(n, cap, counter)
+    _, blocks = _osequence_blocks(n, cap)
     return (HVector(prefix + tail) for prefix, tails in blocks for tail in tails)
 
 

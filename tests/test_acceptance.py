@@ -86,7 +86,7 @@ def test_criterion_06_asymptotic_ratio_window():
 def test_criterion_07_structure_sweep(census_counter):
     checked = 0
     for n in range(1, 13):
-        for h in enumerate_osequences(n, counter=census_counter):
+        for h in enumerate_osequences(n):
             assert verify_tail_partition(h), tuple(h)
             assert check_prefix_bound(h), tuple(h)
             checked += 1

@@ -43,9 +43,9 @@ def test_tail_and_prefix_examples():
     assert not verify_tail_partition(HVector((1, 1, 2)))
 
 
-def test_structure_holds_across_small_census(census_counter):
+def test_structure_holds_across_small_census():
     for n in range(1, 13):
-        for h in enumerate_osequences(n, counter=census_counter):
+        for h in enumerate_osequences(n):
             assert verify_tail_partition(h), tuple(h)
             assert check_prefix_bound(h), tuple(h)
 
@@ -173,8 +173,6 @@ def test_remark_profile_worked_example():
     assert by_degree[1] is None
     assert (by_degree[2].t, by_degree[2].alpha) == (0, 1)
     assert (by_degree[3].t, by_degree[3].alpha) == (0, 0)
-    assert report.t_monotone
-    assert report.alpha_monotone_within_t_plateaus
 
 
 def test_remark_profile_empty_window():
@@ -182,8 +180,6 @@ def test_remark_profile_empty_window():
     assert report.critical_index == 1
     assert report.decompositions == ()
     assert report.first_applicable_degree is None
-    assert report.t_monotone
-    assert report.alpha_monotone_within_t_plateaus
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +191,6 @@ def test_bounds_report_small_range(census_table, partition_table):
     assert isinstance(report, BoundsReport)
     assert len(report.records) == 60
     for r in report.records:
-        assert r.lower_ok and r.upper_ok
         assert r.lower <= r.count
         assert math.log(r.count) <= r.log_upper + 1e-6 * abs(r.log_upper)
     first = report.records[0]

@@ -255,7 +255,7 @@ def test_enumerate_yields_hvectors_in_lex_order(census_counter):
     # Sorted, unique, valid and as many as the census counts: the exact set,
     # across every boundary between one prefix's tails and the next prefix.
     for n in range(1, 25):
-        seen = list(enumerate_osequences(n, counter=census_counter))
+        seen = list(enumerate_osequences(n))
         assert all(isinstance(h, HVector) for h in seen)
         tuples = [tuple(h) for h in seen]
         assert tuples == sorted(tuples)
@@ -268,14 +268,14 @@ def test_enumerate_yields_hvectors_in_lex_order(census_counter):
 def test_enumerate_matches_composition_filter(census_counter, filtered_compositions):
     for n in range(1, 13):
         expected = filtered_compositions[n]
-        got = [tuple(h) for h in enumerate_osequences(n, counter=census_counter)]
+        got = [tuple(h) for h in enumerate_osequences(n)]
         assert got == expected
         assert len(got) == census_counter.count(n)
 
 
-def test_enumerate_cap_refusal(census_counter):
+def test_enumerate_cap_refusal():
     with pytest.raises(EnumerationCapError) as excinfo:
-        enumerate_osequences(12, cap=10, counter=census_counter)
+        enumerate_osequences(12, cap=10)
     err = excinfo.value
     assert err.n == 12
     assert err.count == 82
@@ -290,16 +290,11 @@ def test_enumerate_cap_checked_before_streaming():
         enumerate_osequences(10, cap=1)
 
 
-class _OneSequenceCounter:
-    """Reports one sequence of every length, so no census pass runs."""
-
-    def count(self, n: int) -> int:
-        return 1
-
-
-def test_enumerate_has_no_recursion_depth_cliff():
+def test_enumerate_has_no_recursion_depth_cliff(monkeypatch):
     # The walk is one stack entry per entry of the sequence, not one frame.
-    first = next(enumerate_osequences(3000, counter=_OneSequenceCounter()))
+    # The counter reports one sequence of every length, so no census pass runs.
+    monkeypatch.setattr(CensusCounter, "count", lambda self, n: 1)
+    first = next(enumerate_osequences(3000))
     assert first.entries == (1,) * 3000
 
 

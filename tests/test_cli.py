@@ -31,6 +31,7 @@ from oseq.bounds import (
 )
 from oseq.census import _MAX_CENSUS_CEILING, CensusCounter, CensusTable, enumerate_osequences
 from oseq.cli import build_parser, main
+from oseq.errors import TheoremViolationError
 from oseq.partitions import DEFAULT_TABLE_LIMIT, build_partition_table
 
 KNOWN_COUNTS = [1, 1, 2, 3, 5, 8, 12, 18, 27, 40, 57, 82]
@@ -145,10 +146,13 @@ def test_enumerate_streams_before_the_last_sequence(monkeypatch):
     total = 10_000
     pulled = []
 
-    def many(n, **kwargs):
-        for i in range(total):
-            pulled.append(i)
-            yield (1, n - 1), ((),)
+    def many(n, cap):
+        def blocks():
+            for i in range(total):
+                pulled.append(i)
+                yield (1, n - 1), ((),)
+
+        return total, blocks()
 
     writes = []
 
@@ -298,6 +302,10 @@ def test_bounds_json_schema_and_determinism(capsys, schema_dir):
     payload = check_json(schema_dir, "bounds", first)
     assert payload["max_n"] == 20
     assert all(r["lower_ok"] and r["upper_ok"] for r in payload["records"])
+    for flag in ("lower_ok", "upper_ok"):  # theorems: the schema admits only true
+        record = {**payload["records"][-1], flag: False}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**payload, "records": [record]}, load_schema(schema_dir, "bounds"))
     code, second, _ = run_cli(capsys, "bounds", "--max-n", "20", "--format", "json")
     assert code == 0
     assert first == second
@@ -444,6 +452,9 @@ def test_remark_json(capsys, schema_dir):
             {"degree": 3, "in_range": True, "t": 0, "alpha": 0},
         ],
     }
+    for flag in ("t_monotone", "alpha_monotone_within_t_plateaus"):  # theorems: only true
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**payload, flag: False}, load_schema(schema_dir, "remark"))
 
 
 def test_remark_rejects_invalid_sequence(capsys):
@@ -502,6 +513,14 @@ PINNED_OUTPUTS = [
     ("remark 1,1,2 --format table", 1, "ec12b8de25f848ce55e25d4edc0a3a2428bb36c59c0c2cb6c72bc9d0954c529a"),
     ("remark 1,1,2 --format csv", 1, "ec12b8de25f848ce55e25d4edc0a3a2428bb36c59c0c2cb6c72bc9d0954c529a"),
     ("remark 1,1,2 --format json", 1, "ec12b8de25f848ce55e25d4edc0a3a2428bb36c59c0c2cb6c72bc9d0954c529a"),
+    # recorded from the records that stored the bound and staircase flags:
+    # no envelope (n < 3), a null c2_emp (n = 1) and an empty staircase window
+    ("bounds --max-n 2 --format table", 0, "ffea2b337b0c9e035fee995e7abc025b1b3c8d64857fb9363a747d238b252ed6"),
+    ("bounds --max-n 2 --format csv", 0, "6f57d8f518dc24adb80bc310fee375a57d1aa67ea365b1fb682dec6a76cdb4f3"),
+    ("bounds --max-n 2 --format json", 0, "0f59e36e88c9148934ca69043b4fd4844afb4a21fc8cb3719d1ecd945d5f7f40"),
+    ("remark 1 --format table", 0, "b459243c817e39a9d8a40cfa7204d8915ae64f6f7404e48e98c3f008f8b52d88"),
+    ("remark 1 --format csv", 0, "63b52098bf3773249decdc67bc2b3522babf9f192af5d145f162bf90c3929d2d"),
+    ("remark 1 --format json", 0, "fc931d3a9cf05efe878a17bf5de6bdc7340adb31540cfca61f8b201a7ab09f14"),
 ]
 
 
@@ -565,27 +584,28 @@ def test_remark_sweep_refuses_a_ceiling_above_the_hard_maximum(capsys, monkeypat
 
 def per_sequence_sweep(max_n: int) -> str:
     """Reference sweep: the per-sequence loop the script ran before it weighted prefixes."""
-    counter = CensusCounter()
     lines = [
         f"{'n':>3} {'L(n)':>8} {'tail ok':>8} {'prefix ok':>9} "
         f"{'t monotone':>11} {'alpha monotone':>15}"
     ]
     for n in range(1, max_n + 1):
-        total = tail_ok = prefix_ok = t_ok = alpha_ok = 0
-        for h in enumerate_osequences(n, counter=counter, cap=10**7):
+        total = tail_ok = prefix_ok = staircase_ok = 0
+        for h in enumerate_osequences(n, cap=10**7):
             total += 1
             tail_ok += verify_tail_partition(h)
             prefix_ok += check_prefix_bound(h)
-            profile = remark_profile(h)
-            t_ok += profile.t_monotone
-            alpha_ok += profile.alpha_monotone_within_t_plateaus
+            try:
+                remark_profile(h)  # raises where the window lemma fails
+            except TheoremViolationError:
+                continue
+            staircase_ok += 1
 
         def pct(k: int) -> str:
             return f"{100.0 * k / total:>6.1f}%"
 
         lines.append(
             f"{n:>3} {total:>8} {pct(tail_ok):>8} {pct(prefix_ok):>9} "
-            f"{pct(t_ok):>11} {pct(alpha_ok):>15}"
+            f"{pct(staircase_ok):>11} {pct(staircase_ok):>15}"
         )
     return "".join(line + "\n" for line in lines)
 

@@ -17,9 +17,7 @@ from oseq.cli import _Output
 from oseq.macaulay import HVector, MacaulayExpansion, ValidityReport
 from oseq.partitions import AsymptoticEstimate, PartitionTable
 
-BOUNDS_RECORD = dict(
-    n=2, count=1, lower=1, log_upper=2.5, c1_emp=0.0, c2_emp=0.0, lower_ok=True, upper_ok=True
-)
+BOUNDS_RECORD = dict(n=2, count=1, lower=1, log_upper=2.5, c1_emp=0.0, c2_emp=0.0)
 
 # Each record type with the fields of one instance, in declaration order.
 RECORDS = [
@@ -33,8 +31,6 @@ RECORDS = [
         RemarkReport,
         dict(
             decompositions=((1, None), (2, StaircaseDecomposition(degree=2, t=0, alpha=1))),
-            t_monotone=True,
-            alpha_monotone_within_t_plateaus=True,
             first_applicable_degree=2,
             critical_index=3,
         ),
