@@ -35,7 +35,7 @@ from operator import add
 from typing import Iterator, NamedTuple
 
 from .errors import EnumerationCapError, ResourceLimitError
-from .macaulay import HVector, pseudopower
+from .macaulay import HVector, _check_canonical, pseudopower
 
 __all__ = [
     "DEFAULT_STREAM_CAP",
@@ -198,8 +198,10 @@ def _osequence_blocks(
     their tails, is every O-sequence of length n in lexicographic order. Each
     tuple of tails is built once per (j, m) in one call and shared by every
     prefix with that key. The canonical form of ``HVector`` is checked once
-    per prefix and once per tail built; a concatenation passes exactly when
-    both pieces do.
+    per prefix and once per tail built, by ``_check_canonical``: one ``min``
+    over each prefix and one over the entries of each tuple of tails, in C,
+    with an HVector built only on a miss, for its ValueError. A
+    concatenation passes exactly when both pieces do.
 
     The exact count is computed first, once; if it exceeds ``cap`` the
     stream is refused with an EnumerationCapError carrying the count, at
@@ -216,13 +218,12 @@ def _osequence_blocks(
     def walk() -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
         built: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         for prefix in precritical_prefixes(n):
-            HVector(prefix)  # canonical form, or ValueError
+            _check_canonical(prefix)
             key = (len(prefix), n - sum(prefix))
             tails = built.get(key)
             if tails is None:
                 tails = built[key] = _tails(key[1], key[0])
-                for tail in tails:
-                    HVector((1, *tail))
+                _check_canonical((1,), tails)
             yield prefix, tails
 
     return total, walk()

@@ -223,16 +223,20 @@ def _run_enumerate(args: argparse.Namespace) -> int:
         # Each prefix's text is made once, and each tail's once per tuple of
         # tails, with its leading separator and the closing bracket. The walk
         # shares one tails tuple among its prefixes and holds every one it
-        # has built until it ends, so the tuple's id keys its texts.
+        # has built until it ends, so the tuple's id keys its texts. No entry
+        # exceeds n, so each entry's text, bare and after the separator, is
+        # looked up in a table made once: the joins then run in C, with no
+        # str() call per entry.
+        entry = [str(x) for x in range(args.n + 1)]
+        part = [separator + text for text in entry]
         texts: dict[int, list[str]] = {}
         for prefix, tails in blocks:
             tail_texts = texts.get(id(tails))
             if tail_texts is None:
                 tail_texts = texts[id(tails)] = [
-                    (separator + separator.join(map(str, tail)) if tail else "") + closing
-                    for tail in tails
+                    "".join(map(part.__getitem__, tail)) + closing for tail in tails
                 ]
-            head = opening + separator.join(map(str, prefix))
+            head = opening + separator.join(map(entry.__getitem__, prefix))
             yield head + (joiner + head).join(tail_texts)
 
     # The rows are already in the chosen format, so lines and records are one stream.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 __all__ = [
@@ -91,6 +92,21 @@ class HVector:
 
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
+
+
+def _check_canonical(head: tuple[int, ...], tails: Sequence[tuple[int, ...]] = ()) -> None:
+    """Raise HVector's ValueError unless ``head`` and every ``head + tail`` are canonical.
+
+    A pass builds no HVector: ``head`` costs one index and one ``min``, and
+    ``tails`` one ``min`` over all their entries, each run in C. Only on a
+    miss is an HVector built, so the ValueError carries HVector's exact
+    message.
+    """
+    if not (head and head[0] == 1 and min(head) >= 1):
+        HVector(head)
+    if tails and min(chain.from_iterable(tails), default=1) < 1:
+        for tail in tails:
+            HVector(head + tail)
 
 
 class MacaulayExpansion(NamedTuple):

@@ -320,18 +320,29 @@ def test_tails_are_the_bounded_partitions_in_lex_order():
     [
         ("precritical_prefixes", "h_0 must be 1, got 2"),
         ("_tails", "all entries must be positive"),
+        ("zero prefix entry after h_0", "all entries must be positive"),
+        ("zero inside a later tail", "all entries must be positive"),
     ],
 )
 def test_enumerate_checks_each_piece_on_the_cli_path(monkeypatch, plant, message):
     # A bad prefix, or a bad tail, reaches no output: the block walk checks
     # the canonical form of each piece, which the CLI path does not redo.
-    bad = {
-        "precritical_prefixes": lambda limit: iter([(2, 3)]),
-        "_tails": lambda m, j: ((0,) * m,),
+    # The walk raises what HVector raises for the first bad sequence. The
+    # last two plants pass a test of h_0, or of a tuple's first or last
+    # entries, alone.
+    target, bad, sequence = {
+        "precritical_prefixes": ("precritical_prefixes", lambda limit: iter([(2, 3)]), (2, 3)),
+        "_tails": ("_tails", lambda m, j: ((0,) * m,), (1, 0, 0, 0, 0)),
+        "zero prefix entry after h_0": ("precritical_prefixes", lambda limit: iter([(1, 0, 4)]), (1, 0, 4)),
+        "zero inside a later tail": ("_tails", lambda m, j: ((1,) * m, (2, 0, 1)), (1, 2, 0, 1)),
     }[plant]
-    monkeypatch.setattr(f"oseq.census.{plant}", bad)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as direct:
+        HVector(sequence)
+    assert str(direct.value) == message
+    monkeypatch.setattr(f"oseq.census.{target}", bad)
+    with pytest.raises(ValueError) as walked:
         main(["enumerate", "--n", "5"])
+    assert str(walked.value) == message
 
 
 def test_count_monotone_in_total(census_table):

@@ -29,7 +29,14 @@ from oseq.bounds import (
     remark_profile,
     verify_tail_partition,
 )
-from oseq.census import _MAX_CENSUS_CEILING, CensusCounter, CensusTable, enumerate_osequences
+from oseq.census import (
+    _MAX_CENSUS_CEILING,
+    CensusCounter,
+    CensusTable,
+    _tails,
+    enumerate_osequences,
+    precritical_prefixes,
+)
 from oseq.cli import build_parser, main
 from oseq.errors import TheoremViolationError
 from oseq.partitions import DEFAULT_TABLE_LIMIT, build_partition_table
@@ -181,6 +188,33 @@ def test_enumerate_blocks_survive_chunk_boundaries(capsys, monkeypatch, fmt):
     for chunk in (1, 3):
         monkeypatch.setattr("oseq.cli._CHUNK", chunk)
         assert run_cli(capsys, *argv) == (0, expected, ""), chunk
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_enumerate_row_text_matches_str_per_entry(capsys, monkeypatch, fmt):
+    # Every prefix to 20, and every tail of _tails(m, j) for m <= 20 and
+    # j <= 8 (the empty tail included), rendered as one block each, must
+    # read as str() of every entry would write it.
+    opening, separator, closing = {
+        "table": ("", ",", ""), "csv": ("", " ", ""), "json": ("[", ",", "]")
+    }[fmt]
+    prefixes = list(precritical_prefixes(20))
+    tuples = [_tails(m, j) for m in range(21) for j in range(1, 9)]
+    blocks = [(prefix, ((),)) for prefix in prefixes] + [((1,), tails) for tails in tuples]
+    count = sum(len(tails) for _, tails in blocks)
+    monkeypatch.setattr("oseq.census._osequence_blocks", lambda n, cap: (count, iter(blocks)))
+    code, out, err = run_cli(capsys, "enumerate", "--n", "20", "--format", fmt)
+    assert (code, err) == (0, "")
+    rows = [
+        opening + separator.join(map(str, prefix))
+        + (separator + separator.join(map(str, tail)) if tail else "") + closing
+        for prefix, tails in blocks
+        for tail in tails
+    ]
+    if fmt == "json":
+        assert out == f'{{"n":20,"count":"{count}","sequences":[' + ",".join(rows) + "]}\n"
+    else:
+        assert out == "sequence\n" * (fmt == "csv") + "".join(row + "\n" for row in rows)
 
 
 def _growth_bound(a: int, d: int) -> int:
@@ -488,6 +522,11 @@ PINNED_OUTPUTS = [
     ("enumerate --n 30 --format table", 0, "6afe19a62b584e6f41c65dfa954b0413fe57ebb624a0423ce43dcdb00e2cc745"),
     ("enumerate --n 30 --format csv", 0, "0045096a3f5b45e10e3678e58a3fcbbfc71acb8af76c33869be64aa995faae3f"),
     ("enumerate --n 30 --format json", 0, "ef44323f3d77094b06b678a05816f465505766e4533e46c551f8d8ca6f8c6273"),
+    # the largest sequence-stream job, recorded from the walk that built an
+    # HVector per piece and the rows that called str() per entry
+    ("enumerate --n 40 --cap 10000000 --format table", 0, "7767afb157ce156c89acbf7d54b5f656fd271584a7b7903f1eb83ea3ffa4c4dc"),
+    ("enumerate --n 40 --cap 10000000 --format csv", 0, "487471db5efef291bf79fa0f8ba6431d7fa9dc9634b65ce1ea0a17f148bb17e2"),
+    ("enumerate --n 40 --cap 10000000 --format json", 0, "be68026fed8b74841654d7e65874cff2b19224756453462a06f0545fc4d52605"),
     ("census --max-n 12 --format table", 0, "0338ce6550e7a136c22fe2df41f0442b72b972b858c7dd896e6553a6d9dc0cbd"),
     ("census --max-n 12 --format csv", 0, "edb302ba60935432adf9742d027a13a3c03433045b5f710dfb00a27f62f310b8"),
     ("census --max-n 12 --format json", 0, "3b6c09901aac748f2bcc56e5a0b0f3482e6adf89c7b4b87a4c043aecc826fc7a"),
