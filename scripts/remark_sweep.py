@@ -29,7 +29,7 @@ import sys
 from oseq.bounds import StaircaseDecomposition, _staircase_step_holds, staircase_decompose
 from oseq.census import CensusCounter, _fold_tails, precritical_prefixes
 from oseq.errors import ResourceLimitError
-from oseq.macaulay import _check_canonical
+from oseq.macaulay import _canonical_fault
 
 
 def _bug(message: str) -> int:
@@ -53,7 +53,8 @@ def main() -> int:
     # decomps[j]: the decomposition of the last entry of the current length-j prefix
     decomps: list[StaircaseDecomposition | None] = [None]
     for prefix in precritical_prefixes(args.max_n):
-        _check_canonical(prefix)  # canonical form, or HVector's ValueError
+        if fault := _canonical_fault(prefix):
+            return _bug(f"the prefix {prefix} is not in canonical form ({fault})")
         j, s = len(prefix), sum(prefix)
         del decomps[j:]
         d = staircase_decompose(prefix[-1], j - 1) if j > 1 else None

@@ -120,12 +120,12 @@ def build_bounds_report(census: CensusTable, partitions: PartitionTable) -> Boun
         log_upper = math.log(root) + math.log(partitions.p_values[n]) + root * math.log(n)
         if lower > count:
             raise TheoremViolationError(
-                f"lower bound p(n-1) <= count failed at n={n}: {lower} > {count}", n=n
+                f"lower bound p(n-1) <= count failed at n={n}: {lower} > {count}"
             )
         if log_count > log_upper + UPPER_BOUND_RELATIVE_SLACK * abs(log_upper):
             raise TheoremViolationError(
                 f"log-space upper bound failed at n={n}: "
-                f"ln count {log_count} > {log_upper}", n=n
+                f"ln count {log_count} > {log_upper}"
             )
         c1 = log_count / math.sqrt(n)
         c2 = log_count / (math.sqrt(n) * math.log(n)) if n >= 2 else None

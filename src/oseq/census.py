@@ -31,11 +31,12 @@ entry.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .errors import EnumerationCapError, ResourceLimitError
-from .macaulay import HVector, _check_canonical, pseudopower
+from .errors import EnumerationCapError, ResourceLimitError, TheoremViolationError
+from .macaulay import HVector, _canonical_fault, pseudopower
 
 __all__ = [
     "DEFAULT_STREAM_CAP",
@@ -48,8 +49,8 @@ __all__ = [
 ]
 
 # The largest census length any counter counts. A pass to N holds about N^2
-# cells: `oseq count --n 6000` takes 8.5 to 18 s and peaks at about 400 MiB
-# (2-CPU x86 machines, Python 3.11).
+# cells: `oseq count --n 6000` takes 13.5 to 17.5 s and peaks at 396 MiB
+# (launch to exit, peak RSS from os.wait4; 2-CPU x86, Python 3.11.7).
 _MAX_CENSUS_CEILING = 6000
 DEFAULT_STREAM_CAP = 100_000
 
@@ -197,11 +198,11 @@ def _osequence_blocks(
     len(prefix), so ``prefix + tail`` over the blocks in order, then over
     their tails, is every O-sequence of length n in lexicographic order. Each
     tuple of tails is built once per (j, m) in one call and shared by every
-    prefix with that key. The canonical form of ``HVector`` is checked once
-    per prefix and once per tail built, by ``_check_canonical``: one ``min``
-    over each prefix and one over the entries of each tuple of tails, in C,
-    with an HVector built only on a miss, for its ValueError. A
-    concatenation passes exactly when both pieces do.
+    prefix with that key. A piece out of canonical form (``_canonical_fault``)
+    is a bug, raised as a TheoremViolationError naming it, at the cost of one
+    ``min`` over each prefix and one over the entries of each tuple of tails,
+    in C: after a canonical prefix, a tail keeps the form exactly when
+    (1, its smallest entry) has it.
 
     The exact count is computed first, once; if it exceeds ``cap`` the
     stream is refused with an EnumerationCapError carrying the count, at
@@ -218,12 +219,15 @@ def _osequence_blocks(
     def walk() -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
         built: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         for prefix in precritical_prefixes(n):
-            _check_canonical(prefix)
+            if fault := _canonical_fault(prefix):
+                raise TheoremViolationError(f"the walk to n={n} built the prefix {prefix} ({fault})")
             key = (len(prefix), n - sum(prefix))
             tails = built.get(key)
             if tails is None:
                 tails = built[key] = _tails(key[1], key[0])
-                _check_canonical((1,), tails)
+                if fault := _canonical_fault((1, min(chain.from_iterable(tails), default=1))):
+                    tail = next(t for t in tails if _canonical_fault((1, *t)))
+                    raise TheoremViolationError(f"the walk to n={n} built the tail {tail} ({fault})")
             yield prefix, tails
 
     return total, walk()

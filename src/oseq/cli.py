@@ -4,12 +4,14 @@ Subcommands: check, count, enumerate, census, bounds, partitions, remark.
 Output formats: table (human), csv, json (machine; big integers as decimal
 strings, schemas shipped under schemas/). Each runner describes its output
 once, and ``_render`` writes it in the chosen format, streaming long record
-lists in chunks. Exit codes: 0 success, 1 invalid input sequence, 2
-resource-limit refusal or bad usage, 3 theorem-backed invariant violation
-(always a bug). ``census``, ``macaulay``, ``bounds``, ``partitions`` and
-``json`` are imported by the runners that use them, so a job loads only what
-it runs: ``partitions`` loads neither ``census`` nor ``macaulay``, and
-``check`` does not load ``census``.
+lists in chunks. Exit codes: 0 success; 1 invalid input sequence (``check``,
+and ``remark``, which then prints what ``check`` prints); 2 resource-limit
+refusal or bad usage; 3 theorem-backed invariant violation, such as a failed
+bound or a non-canonical piece built by the enumerate walk (always a bug).
+``census``, ``macaulay``, ``bounds``, ``partitions`` and ``json`` are
+imported by the runners that use them, so a job loads only what it runs:
+``partitions`` loads neither ``census`` nor ``macaulay``, and ``check`` does
+not load ``census``.
 """
 
 from __future__ import annotations
@@ -370,11 +372,9 @@ def _run_remark(args: argparse.Namespace) -> int:
     from .bounds import remark_profile
     from .macaulay import HVector, is_o_sequence
 
+    if not is_o_sequence(args.sequence).valid:
+        return _run_check(args)  # the refusal is check's record, in the chosen format
     seq = ",".join(map(str, args.sequence))
-    validity = is_o_sequence(args.sequence)
-    if not validity.valid:
-        print(f"{seq} is NOT an O-sequence ({validity.reason}); no profile computed")
-        return EXIT_INVALID
     profile = remark_profile(HVector(args.sequence))  # raises if the window lemma fails
     decomps = [
         {"degree": degree, "in_range": False}

@@ -25,10 +25,7 @@ class EnumerationCapError(ResourceLimitError):
 class TheoremViolationError(RuntimeError):
     """A theorem-backed invariant failed.
 
-    These inequalities are mathematical facts; a violation always means an
-    implementation bug, never bad input.
+    These invariants (the bounds, the staircase window lemma, the canonical
+    form of every piece the enumerate walk builds) are mathematical facts; a
+    violation always means an implementation bug, never bad input.
     """
-
-    def __init__(self, message: str, n: int | None = None) -> None:
-        super().__init__(message)
-        self.n = n

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 __all__ = [
@@ -29,6 +28,19 @@ __all__ = [
 REASON_BAD_H0 = "bad-h0"
 REASON_ZERO_ENTRY = "zero-entry"
 REASON_GROWTH = "growth-violation"
+
+
+def _canonical_fault(entries: Sequence[int]) -> str | None:
+    """Why ``entries`` are not in canonical form (h_0 = 1, every entry >= 1), or None.
+
+    REASON_BAD_H0 for an empty sequence or h_0 != 1, else REASON_ZERO_ENTRY
+    for an entry below 1. One index and one ``min``, both run in C.
+    """
+    if not entries or entries[0] != 1:
+        return REASON_BAD_H0
+    if min(entries) < 1:
+        return REASON_ZERO_ENTRY
+    return None
 
 
 class HVector:
@@ -46,12 +58,12 @@ class HVector:
     entries: tuple[int, ...]
 
     def __init__(self, entries: tuple[int, ...]) -> None:
-        if not entries:
-            raise ValueError("an h-vector has at least the entry h_0 = 1")
-        if entries[0] != 1:
-            raise ValueError(f"h_0 must be 1, got {entries[0]}")
-        if min(entries) < 1:
-            raise ValueError("all entries must be positive")
+        if fault := _canonical_fault(entries):
+            raise ValueError(
+                "all entries must be positive" if fault == REASON_ZERO_ENTRY
+                else f"h_0 must be 1, got {entries[0]}" if entries
+                else "an h-vector has at least the entry h_0 = 1"
+            )
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -92,21 +104,6 @@ class HVector:
 
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
-
-
-def _check_canonical(head: tuple[int, ...], tails: Sequence[tuple[int, ...]] = ()) -> None:
-    """Raise HVector's ValueError unless ``head`` and every ``head + tail`` are canonical.
-
-    A pass builds no HVector: ``head`` costs one index and one ``min``, and
-    ``tails`` one ``min`` over all their entries, each run in C. Only on a
-    miss is an HVector built, so the ValueError carries HVector's exact
-    message.
-    """
-    if not (head and head[0] == 1 and min(head) >= 1):
-        HVector(head)
-    if tails and min(chain.from_iterable(tails), default=1) < 1:
-        for tail in tails:
-            HVector(head + tail)
 
 
 class MacaulayExpansion(NamedTuple):
@@ -206,10 +203,8 @@ def is_o_sequence(candidate: Sequence[int]) -> ValidityReport:
     All failures are reported, never raised.
     """
     entries = list(candidate)
-    if not entries or entries[0] != 1:
-        return ValidityReport(valid=False, reason=REASON_BAD_H0)
-    if any(h < 1 for h in entries):
-        return ValidityReport(valid=False, reason=REASON_ZERO_ENTRY)
+    if fault := _canonical_fault(entries):
+        return ValidityReport(valid=False, reason=fault)
     for i in range(1, len(entries) - 1):
         if entries[i + 1] > pseudopower(entries[i], i):
             return ValidityReport(valid=False, first_violation=i, reason=REASON_GROWTH)

@@ -7,6 +7,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -29,6 +33,7 @@ from oseq.macaulay import HVector, is_o_sequence
 from oseq.partitions import build_partition_table
 
 KNOWN_COUNTS = [1, 1, 2, 3, 5, 8, 12, 18, 27, 40, 57, 82]  # n = 1..12
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_small_counts():
@@ -324,25 +329,54 @@ def test_tails_are_the_bounded_partitions_in_lex_order():
         ("zero inside a later tail", "all entries must be positive"),
     ],
 )
-def test_enumerate_checks_each_piece_on_the_cli_path(monkeypatch, plant, message):
+def test_enumerate_checks_each_piece_on_the_cli_path(capsys, monkeypatch, plant, message):
     # A bad prefix, or a bad tail, reaches no output: the block walk checks
     # the canonical form of each piece, which the CLI path does not redo.
-    # The walk raises what HVector raises for the first bad sequence. The
+    # The walk builds every piece, so a bad one is a bug: `main` exits 3 and
+    # names it. ``message`` is what HVector raises for the bad sequence. The
     # last two plants pass a test of h_0, or of a tuple's first or last
     # entries, alone.
-    target, bad, sequence = {
-        "precritical_prefixes": ("precritical_prefixes", lambda limit: iter([(2, 3)]), (2, 3)),
-        "_tails": ("_tails", lambda m, j: ((0,) * m,), (1, 0, 0, 0, 0)),
-        "zero prefix entry after h_0": ("precritical_prefixes", lambda limit: iter([(1, 0, 4)]), (1, 0, 4)),
-        "zero inside a later tail": ("_tails", lambda m, j: ((1,) * m, (2, 0, 1)), (1, 2, 0, 1)),
+    target, bad, sequence, piece = {
+        "precritical_prefixes": (
+            "precritical_prefixes", lambda limit: iter([(2, 3)]), (2, 3), "prefix (2, 3) (bad-h0)"
+        ),
+        "_tails": (
+            "_tails", lambda m, j: ((0,) * m,), (1, 0, 0, 0, 0), "tail (0, 0, 0, 0) (zero-entry)"
+        ),
+        "zero prefix entry after h_0": (
+            "precritical_prefixes",
+            lambda limit: iter([(1, 0, 4)]),
+            (1, 0, 4),
+            "prefix (1, 0, 4) (zero-entry)",
+        ),
+        "zero inside a later tail": (
+            "_tails", lambda m, j: ((1,) * m, (2, 0, 1)), (1, 2, 0, 1), "tail (2, 0, 1) (zero-entry)"
+        ),
     }[plant]
     with pytest.raises(ValueError) as direct:
         HVector(sequence)
     assert str(direct.value) == message
     monkeypatch.setattr(f"oseq.census.{target}", bad)
-    with pytest.raises(ValueError) as walked:
-        main(["enumerate", "--n", "5"])
-    assert str(walked.value) == message
+    assert main(["enumerate", "--n", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error (bug): the walk to n=5 built the {piece}\n"
+
+
+def test_enumerate_walk_bug_exits_three_without_a_traceback():
+    # The same planted prefix, in a child process run as `python -m oseq.cli`.
+    plant = (
+        "import runpy, sys, oseq.census; "
+        "oseq.census.precritical_prefixes = lambda limit: iter([(2, 3)]); "
+        "sys.argv = ['oseq', 'enumerate', '--n', '5']; "
+        "runpy.run_module('oseq.cli', run_name='__main__', alter_sys=True)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    done = subprocess.run([sys.executable, "-c", plant], env=env, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("internal error (bug): ")
+    assert "Traceback" not in done.stderr
 
 
 def test_count_monotone_in_total(census_table):

@@ -491,10 +491,23 @@ def test_remark_json(capsys, schema_dir):
             jsonschema.validate({**payload, flag: False}, load_schema(schema_dir, "remark"))
 
 
-def test_remark_rejects_invalid_sequence(capsys):
-    code, out, _ = run_cli(capsys, "remark", "1,1,2", "--format", "json")
-    assert code == 1
-    assert "NOT an O-sequence" in out
+def test_remark_rejects_invalid_sequence(capsys, schema_dir):
+    code, out, err = run_cli(capsys, "remark", "1,1,2", "--format", "json")
+    assert (code, err) == (1, "")
+    assert check_json(schema_dir, "check", out) == {
+        "sequence": [1, 1, 2],
+        "valid": False,
+        "reason": "growth-violation",
+        "first_violation": 1,
+    }
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("sequence", ["1,1,2", "2", "1,0"])
+def test_remark_refuses_exactly_as_check(capsys, sequence, fmt):
+    checked = run_cli(capsys, "check", sequence, "--format", fmt)
+    assert checked[0] == 1
+    assert run_cli(capsys, "remark", sequence, "--format", fmt) == checked
 
 
 def test_remark_csv(capsys):
@@ -549,9 +562,10 @@ PINNED_OUTPUTS = [
     ("remark 1,3,6,10,15,21,7,3 --format table", 0, "fd5bccf6c654263855f94305b7340e4de2575856aa961ec25156afe7364b5937"),
     ("remark 1,3,6,10,15,21,7,3 --format csv", 0, "75b885f1fe4f538ad8aaf9ab0565f1cc58377b1bc0fbcd82a4731027cefe1e6b"),
     ("remark 1,3,6,10,15,21,7,3 --format json", 0, "13934eeaf5aafd0b558647b7e8fb46787a68e066519dfa25ed22ee781fb89ef1"),
-    ("remark 1,1,2 --format table", 1, "ec12b8de25f848ce55e25d4edc0a3a2428bb36c59c0c2cb6c72bc9d0954c529a"),
-    ("remark 1,1,2 --format csv", 1, "ec12b8de25f848ce55e25d4edc0a3a2428bb36c59c0c2cb6c72bc9d0954c529a"),
-    ("remark 1,1,2 --format json", 1, "ec12b8de25f848ce55e25d4edc0a3a2428bb36c59c0c2cb6c72bc9d0954c529a"),
+    # an invalid sequence: remark prints what check prints, recorded from check
+    ("remark 1,1,2 --format table", 1, "1dbd6bd31517f695bff28bac9fd9a7be32a45895c0211c2c92bbea297d5a1903"),
+    ("remark 1,1,2 --format csv", 1, "19e9e3cbef7d508f6d00a177b47bd9e773a06cf909d3410b0285478de56b8fef"),
+    ("remark 1,1,2 --format json", 1, "174f09ca3761e5f0c76d6883334fefaf6be3fec57b36a285e41407693a1d7451"),
     # recorded from the records that stored the bound and staircase flags:
     # no envelope (n < 3), a null c2_emp (n = 1) and an empty staircase window
     ("bounds --max-n 2 --format table", 0, "ffea2b337b0c9e035fee995e7abc025b1b3c8d64857fb9363a747d238b252ed6"),
@@ -677,6 +691,18 @@ def test_remark_sweep_exits_three_when_the_walk_drops_a_prefix(capsys, monkeypat
     assert excinfo.value.code == 3
     err = capsys.readouterr().err
     assert "n=3" in err
+
+
+def test_remark_sweep_exits_three_on_a_non_canonical_prefix(capsys, monkeypatch):
+    # (1, 0, 4) passes a test of h_0 alone.
+    monkeypatch.setattr(oseq.census, "precritical_prefixes", lambda limit: iter([(1, 0, 4)]))
+    monkeypatch.setattr(sys, "argv", [str(SWEEP_PATH), "--max-n", "5"])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(str(SWEEP_PATH), run_name="__main__")
+    assert excinfo.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "remark_sweep: the prefix (1, 0, 4) is not in canonical form (zero-entry)\n"
 
 
 def rising_t(value: int, degree: int) -> StaircaseDecomposition:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import threading
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -21,7 +21,7 @@ from oseq.macaulay import (
     REASON_ZERO_ENTRY,
     HVector,
     MacaulayExpansion,
-    _check_canonical,
+    _canonical_fault,
     is_o_sequence,
     macaulay_expand,
     pseudopower,
@@ -228,28 +228,27 @@ def test_hvector_rejects_malformed_entries():
         HVector((1, 0, 1))
 
 
-def _error(call, *args):
-    """The message of the ValueError ``call(*args)`` raises, or None."""
-    try:
-        call(*args)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def test_check_canonical_raises_exactly_what_hvector_raises():
-    # Every head of up to 4 entries from -1..2, alone, and every pair of
-    # tails of up to 2 such entries after a head of (1,) or (2,): the check
-    # passes where HVector does, and otherwise raises HVector's message for
-    # the first bad sequence among the head and each head + tail.
-    seqs = [s for r in range(5) for s in product(range(-1, 3), repeat=r)]
-    for head in seqs:
-        assert _error(_check_canonical, head) == _error(HVector, head), head
-    short = [s for s in seqs if len(s) <= 2]
-    for head, first, second in product([(1,), (2,)], short, short):
-        errors = (_error(HVector, s) for s in (head, head + first, head + second))
-        expected = next(filter(None, errors), None)
-        assert _error(_check_canonical, head, (first, second)) == expected, (head, first, second)
+def test_canonical_fault_decides_for_hvector_and_is_o_sequence():
+    # The one canonical-form predicate: HVector accepts exactly what it
+    # passes, and is_o_sequence reports its reason, or a reason of its own
+    # (growth) only past it. (1, 1, 2) is canonical but no O-sequence.
+    cases = [
+        ((), REASON_BAD_H0),
+        ((2,), REASON_BAD_H0),
+        ((1, 0), REASON_ZERO_ENTRY),
+        ((1, 2, 0, 1), REASON_ZERO_ENTRY),
+        ((1, 1, 2), None),
+        ((1, 3, 4, 4), None),
+    ]
+    for entries, fault in cases:
+        assert _canonical_fault(entries) == fault, entries
+        if fault is None:
+            assert HVector(entries).entries == entries
+            assert is_o_sequence(entries).reason in (None, REASON_GROWTH)
+        else:
+            with pytest.raises(ValueError):
+                HVector(entries)
+            assert is_o_sequence(entries).reason == fault
 
 
 def test_validity_worked_examples():
