@@ -23,17 +23,17 @@ n <= N.
 
 Enumeration walks the same split: each pre-critical prefix is followed by
 every partition of the rest into parts <= j. Those partitions depend only on
-(j, m), m the rest, so one call builds each such list once and streams it
-as a block with every prefix that shares the key; the CLI renders each
-prefix and each tail once, by block, rather than each sequence entry by
-entry.
+(j, m), m the rest, so one call builds each such list once, checks it, keeps
+only what its caller's render function makes of it, and streams that as a
+block with every prefix that shares the key; the CLI renders each prefix
+and each tail once, by block, rather than each sequence entry by entry.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import add
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import EnumerationCapError, ResourceLimitError, TheoremViolationError
 from .macaulay import HVector, _canonical_fault, pseudopower
@@ -53,6 +53,7 @@ __all__ = [
 # (launch to exit, peak RSS from os.wait4; 2-CPU x86, Python 3.11.7).
 _MAX_CENSUS_CEILING = 6000
 DEFAULT_STREAM_CAP = 100_000
+_Rendered = TypeVar("_Rendered")
 
 
 def _check_ceiling(n: int) -> None:
@@ -189,20 +190,21 @@ def _tails(m: int, j: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _osequence_blocks(
-    n: int, cap: int
-) -> tuple[int, Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]]:
-    """L(n) and a stream of every O-sequence of length n as blocks ``(prefix, tails)``.
+    n: int, cap: int, render: Callable[[tuple[tuple[int, ...], ...]], _Rendered]
+) -> tuple[int, Iterator[tuple[tuple[int, ...], _Rendered]]]:
+    """L(n) and a stream of every O-sequence of length n as blocks ``(prefix, render(tails))``.
 
     The blocks follow ``precritical_prefixes(n)``; ``tails`` lists, by
     ``_tails``, the partitions of m = n - sum(prefix) into parts <= j =
     len(prefix), so ``prefix + tail`` over the blocks in order, then over
-    their tails, is every O-sequence of length n in lexicographic order. Each
-    tuple of tails is built once per (j, m) in one call and shared by every
-    prefix with that key. A piece out of canonical form (``_canonical_fault``)
-    is a bug, raised as a TheoremViolationError naming it, at the cost of one
-    ``min`` over each prefix and one over the entries of each tuple of tails,
-    in C: after a canonical prefix, a tail keeps the form exactly when
-    (1, its smallest entry) has it.
+    their tails, is every O-sequence of length n in lexicographic order.
+    Each tuple of tails is built, checked and passed to ``render`` once per
+    (j, m) in one call; only the result is kept, and every prefix with that
+    key gets that same object. A piece out of canonical form
+    (``_canonical_fault``) is a bug, raised as a TheoremViolationError naming
+    it, at the cost of one ``min`` over each prefix and one over the entries
+    of each tuple of tails, in C: after a canonical prefix, a tail keeps the
+    form exactly when (1, its smallest entry) has it.
 
     The exact count is computed first, once; if it exceeds ``cap`` the
     stream is refused with an EnumerationCapError carrying the count, at
@@ -216,19 +218,19 @@ def _osequence_blocks(
     if total > cap:
         raise EnumerationCapError(n=n, count=total, cap=cap)
 
-    def walk() -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-        built: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+    def walk() -> Iterator[tuple[tuple[int, ...], _Rendered]]:
+        built: dict[tuple[int, int], _Rendered] = {}
         for prefix in precritical_prefixes(n):
             if fault := _canonical_fault(prefix):
                 raise TheoremViolationError(f"the walk to n={n} built the prefix {prefix} ({fault})")
             key = (len(prefix), n - sum(prefix))
-            tails = built.get(key)
-            if tails is None:
-                tails = built[key] = _tails(key[1], key[0])
+            if key not in built:
+                tails = _tails(key[1], key[0])
                 if fault := _canonical_fault((1, min(chain.from_iterable(tails), default=1))):
                     tail = next(t for t in tails if _canonical_fault((1, *t)))
                     raise TheoremViolationError(f"the walk to n={n} built the tail {tail} ({fault})")
-            yield prefix, tails
+                built[key] = render(tails)
+            yield prefix, built[key]
 
     return total, walk()
 
@@ -245,12 +247,10 @@ def enumerate_osequences(n: int, cap: int = DEFAULT_STREAM_CAP) -> Iterator[HVec
     each prefix, yields the prefix followed by every such partition in
     ascending lexicographic order before moving on to the prefix's
     children, whose next entry exceeds j. That is plain lexicographic
-    order over the whole stream. The partitions of each (j, n - s) are
-    built once per call and shared by every prefix with that key: this is
-    the flattening of ``_osequence_blocks``, which the CLI renders block by
-    block.
+    order over the whole stream: the flattening of ``_osequence_blocks``,
+    each tuple of tails kept as built and shared by every prefix of its key.
     """
-    _, blocks = _osequence_blocks(n, cap)
+    _, blocks = _osequence_blocks(n, cap, lambda tails: tails)
     return (HVector(prefix + tail) for prefix, tails in blocks for tail in tails)
 
 

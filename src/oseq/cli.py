@@ -156,12 +156,15 @@ def _render(output: _Output, fmt: str) -> None:
         if output.key is None:
             write(_json(output.head) + "\n")
             return
-        # the head with an empty list under the key, cut open before its "]}"
-        write(_json({**output.head, output.key: []})[:-2])
-        separator = ""
-        for chunk in _chunks(output.records):
-            write(separator + (",".join(chunk) if isinstance(chunk[0], str) else _json(chunk)[1:-1]))
-            separator = ","
+        texts = (
+            ",".join(chunk) if isinstance(chunk[0], str) else _json(chunk)[1:-1]
+            for chunk in _chunks(output.records)
+        )
+        # The head (an empty list under the key, cut open before its "]}") goes
+        # out with the first chunk, so records that fail first leave stdout empty.
+        write(_json({**output.head, output.key: []})[:-2] + next(texts, ""))
+        for text in texts:
+            write("," + text)
         write("]}\n")
         return
     if fmt == "csv":
@@ -216,30 +219,25 @@ def _run_enumerate(args: argparse.Namespace) -> int:
     from .census import DEFAULT_STREAM_CAP, _osequence_blocks
 
     cap = DEFAULT_STREAM_CAP if args.cap is None else args.cap
-    count, blocks = _osequence_blocks(args.n, cap)
     opening, separator, closing = _SEQUENCE_ROW[args.fmt]
     joiner = "," if args.fmt == "json" else "\n"  # between rows, as _render joins records
 
+    def tail_texts(tails: tuple[tuple[int, ...], ...]) -> list[str]:
+        # Each tail's text, with its leading separator and the closing bracket.
+        return ["".join(map(part.__getitem__, tail)) + closing for tail in tails]
+
+    count, blocks = _osequence_blocks(args.n, cap, tail_texts)
+    # No entry exceeds n, so each entry's text, bare and after the separator, is
+    # looked up in a table and every join runs in C, with no str() per entry.
+    # The tables are made only after the walk's census-maximum and cap refusals.
+    entry = [str(x) for x in range(args.n + 1)]
+    part = [separator + text for text in entry]
+
     def rows() -> Iterator[str]:
-        # One string per block: the prefix's text before each of its tails'.
-        # Each prefix's text is made once, and each tail's once per tuple of
-        # tails, with its leading separator and the closing bracket. The walk
-        # shares one tails tuple among its prefixes and holds every one it
-        # has built until it ends, so the tuple's id keys its texts. No entry
-        # exceeds n, so each entry's text, bare and after the separator, is
-        # looked up in a table made once: the joins then run in C, with no
-        # str() call per entry.
-        entry = [str(x) for x in range(args.n + 1)]
-        part = [separator + text for text in entry]
-        texts: dict[int, list[str]] = {}
-        for prefix, tails in blocks:
-            tail_texts = texts.get(id(tails))
-            if tail_texts is None:
-                tail_texts = texts[id(tails)] = [
-                    "".join(map(part.__getitem__, tail)) + closing for tail in tails
-                ]
+        # One string per block: the prefix's text, made once, before each of its tails'.
+        for prefix, texts in blocks:
             head = opening + separator.join(map(entry.__getitem__, prefix))
-            yield head + (joiner + head).join(tail_texts)
+            yield head + (joiner + head).join(texts)
 
     # The rows are already in the chosen format, so lines and records are one stream.
     sequences = rows()

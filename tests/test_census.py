@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -21,6 +22,7 @@ from oseq.census import (
     CensusCounter,
     CensusTable,
     _fold_tails,
+    _osequence_blocks,
     _tails,
     build_census,
     count_osequences,
@@ -28,7 +30,7 @@ from oseq.census import (
     precritical_prefixes,
 )
 from oseq.cli import main
-from oseq.errors import EnumerationCapError, ResourceLimitError
+from oseq.errors import EnumerationCapError, ResourceLimitError, TheoremViolationError
 from oseq.macaulay import HVector, is_o_sequence
 from oseq.partitions import build_partition_table
 
@@ -320,6 +322,7 @@ def test_tails_are_the_bounded_partitions_in_lex_order():
     assert _tails(3, 7) == ((1, 1, 1), (2, 1), (3,))
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 @pytest.mark.parametrize(
     "plant, message",
     [
@@ -329,13 +332,13 @@ def test_tails_are_the_bounded_partitions_in_lex_order():
         ("zero inside a later tail", "all entries must be positive"),
     ],
 )
-def test_enumerate_checks_each_piece_on_the_cli_path(capsys, monkeypatch, plant, message):
-    # A bad prefix, or a bad tail, reaches no output: the block walk checks
-    # the canonical form of each piece, which the CLI path does not redo.
-    # The walk builds every piece, so a bad one is a bug: `main` exits 3 and
-    # names it. ``message`` is what HVector raises for the bad sequence. The
-    # last two plants pass a test of h_0, or of a tuple's first or last
-    # entries, alone.
+def test_enumerate_checks_each_piece_on_the_cli_path(capsys, monkeypatch, plant, message, fmt):
+    # A bad prefix, or a bad tail, reaches no output in any format, not even
+    # the json head: the block walk checks the canonical form of each piece,
+    # which the CLI path does not redo. The walk builds every piece, so a bad
+    # one is a bug: `main` exits 3 and names it. ``message`` is what HVector
+    # raises for the bad sequence. The last two plants pass a test of h_0, or
+    # of a tuple's first or last entries, alone.
     target, bad, sequence, piece = {
         "precritical_prefixes": (
             "precritical_prefixes", lambda limit: iter([(2, 3)]), (2, 3), "prefix (2, 3) (bad-h0)"
@@ -357,10 +360,67 @@ def test_enumerate_checks_each_piece_on_the_cli_path(capsys, monkeypatch, plant,
         HVector(sequence)
     assert str(direct.value) == message
     monkeypatch.setattr(f"oseq.census.{target}", bad)
-    assert main(["enumerate", "--n", "5"]) == 3
+    assert main(["enumerate", "--n", "5", "--format", fmt]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal error (bug): the walk to n=5 built the {piece}\n"
+
+
+class RenderSpy:
+    """A render function that records each tuple of tails it gets and returns a fresh object."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, tails):
+        rendered = object()
+        self.calls.append((tails, rendered))
+        return rendered
+
+
+def test_enumerate_walk_renders_each_key_once():
+    # The walk keeps one rendered object per (j, m): render sees each key's
+    # tails once, and every prefix with that key gets the very object it made.
+    n = 20
+    spy = RenderSpy()
+    count, blocks = _osequence_blocks(n, count_osequences(n), spy)
+    blocks = list(blocks)
+    assert [prefix for prefix, _ in blocks] == list(precritical_prefixes(n))
+    keys = [(len(prefix), n - sum(prefix)) for prefix, _ in blocks]
+    assert len(spy.calls) == len(set(keys)) < len(keys)
+    made = {}
+    for key, (_, rendered) in zip(keys, blocks):
+        if key not in made:  # render is called in the order the keys first come
+            made[key] = spy.calls[len(made)]
+        tails, first = made[key]
+        assert tails == _tails(key[1], key[0])
+        assert rendered is first
+    assert sum(len(made[key][0]) for key in keys) == count
+
+
+def test_enumerate_walk_renders_no_tails_that_fail_the_check(monkeypatch):
+    spy = RenderSpy()
+    monkeypatch.setattr("oseq.census._tails", lambda m, j: ((0,) * m,))
+    _, blocks = _osequence_blocks(5, 5, spy)
+    with pytest.raises(TheoremViolationError, match=r"tail \(0, 0, 0, 0\) \(zero-entry\)"):
+        list(blocks)
+    assert spy.calls == []
+
+
+def test_enumerate_refuses_above_the_census_maximum_before_any_table(capsys):
+    # The CLI's per-entry text tables hold n + 1 strings each; a refused
+    # length must not build them.
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "--n", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: census length 1000000 exceeds the maximum {_MAX_CENSUS_CEILING}\n"
+    assert peak < 1 << 20
 
 
 def test_enumerate_walk_bug_exits_three_without_a_traceback():

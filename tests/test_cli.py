@@ -37,7 +37,7 @@ from oseq.census import (
     enumerate_osequences,
     precritical_prefixes,
 )
-from oseq.cli import build_parser, main
+from oseq.cli import _Output, _render, build_parser, main
 from oseq.errors import TheoremViolationError
 from oseq.partitions import DEFAULT_TABLE_LIMIT, build_partition_table
 
@@ -153,11 +153,12 @@ def test_enumerate_streams_before_the_last_sequence(monkeypatch):
     total = 10_000
     pulled = []
 
-    def many(n, cap):
+    def many(n, cap, render):
         def blocks():
+            texts = render(((),))
             for i in range(total):
                 pulled.append(i)
-                yield (1, n - 1), ((),)
+                yield (1, n - 1), texts
 
         return total, blocks()
 
@@ -202,7 +203,10 @@ def test_enumerate_row_text_matches_str_per_entry(capsys, monkeypatch, fmt):
     tuples = [_tails(m, j) for m in range(21) for j in range(1, 9)]
     blocks = [(prefix, ((),)) for prefix in prefixes] + [((1,), tails) for tails in tuples]
     count = sum(len(tails) for _, tails in blocks)
-    monkeypatch.setattr("oseq.census._osequence_blocks", lambda n, cap: (count, iter(blocks)))
+    monkeypatch.setattr(
+        "oseq.census._osequence_blocks",
+        lambda n, cap, render: (count, ((prefix, render(tails)) for prefix, tails in blocks)),
+    )
     code, out, err = run_cli(capsys, "enumerate", "--n", "20", "--format", fmt)
     assert (code, err) == (0, "")
     rows = [
@@ -215,6 +219,17 @@ def test_enumerate_row_text_matches_str_per_entry(capsys, monkeypatch, fmt):
         assert out == f'{{"n":20,"count":"{count}","sequences":[' + ",".join(rows) + "]}\n"
     else:
         assert out == "sequence\n" * (fmt == "csv") + "".join(row + "\n" for row in rows)
+
+
+def test_json_head_waits_for_the_first_record_but_not_for_a_missing_one(capsys):
+    def records():
+        assert capsys.readouterr().out == ""  # nothing written before the first record
+        yield "1"
+
+    _render(_Output({"n": 1}, (), (), key="xs", records=records()), "json")
+    assert capsys.readouterr().out == '{"n":1,"xs":[1]}\n'
+    _render(_Output({"n": 1}, (), (), key="xs", records=iter(())), "json")
+    assert capsys.readouterr().out == '{"n":1,"xs":[]}\n'
 
 
 def _growth_bound(a: int, d: int) -> int:
@@ -611,6 +626,20 @@ def test_remark_sweep_output_is_pinned():
         done = run_sweep(max_n)
         assert hashlib.sha256(done.stdout).hexdigest() == digest, max_n
         assert done.stderr == b""
+
+
+def test_tracer_runs_a_job_as_the_plain_cli_does(capsys):
+    # perfbench/tracer.py wraps functions of the package by name, so a name it
+    # reads that is renamed or deleted would stop every traced benchmark run.
+    argv = ["bounds", "--max-n", "20", "--format", "csv"]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run(
+        [sys.executable, "perfbench/tracer.py", "-m", "oseq.cli", *argv],
+        cwd=SWEEP_PATH.parent.parent, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0
+    assert run_cli(capsys, *argv) == (0, done.stdout, "")
+    assert json.loads(done.stderr.splitlines()[-1])["exit"] == 0
 
 
 def test_remark_sweep_refuses_negative_max_n():
