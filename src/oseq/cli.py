@@ -337,7 +337,7 @@ def _run_partitions(args: argparse.Namespace) -> int:
         try:
             hardy_ramanujan(args.max_n, log_space=args.log_space)
         except OverflowError:
-            raise OverflowError(
+            raise ResourceLimitError(
                 f"the estimate for n={args.max_n} exceeds double range; use --log-space"
             ) from None
     table = build_partition_table(args.max_n)
@@ -424,7 +424,7 @@ def run(args: argparse.Namespace) -> int:
             return EXIT_RESOURCE
     try:
         return _RUNNERS[args.command](args)
-    except (ResourceLimitError, OverflowError) as exc:
+    except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except TheoremViolationError as exc:

@@ -73,10 +73,7 @@ def test_criterion_05_partition_recurrences_and_pq_pattern(partition_table):
 
 def test_criterion_06_asymptotic_ratio_window():
     table = build_partition_table(2000)
-    ratios = {
-        n: hardy_ramanujan(n, table=table, log_space=True).ratio
-        for n in range(100, 2001)
-    }
+    ratios = {n: table.p_values[n] / hardy_ramanujan(n) for n in range(100, 2001)}
     for n, ratio in ratios.items():
         assert 0.85 <= ratio <= 1.05, (n, ratio)
     assert abs(ratios[2000] - 1.0) < abs(ratios[100] - 1.0)

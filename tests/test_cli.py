@@ -384,6 +384,17 @@ def test_theorem_violation_exits_three(capsys, monkeypatch):
     assert err == "internal error (bug): lower bound p(n-1) <= count failed at n=3: 2 > 1\n"
 
 
+def test_stray_overflow_error_is_not_a_refusal(monkeypatch):
+    # Exit 2 is for refusals the code states; an OverflowError from anywhere
+    # else is a bug, so it propagates instead of exiting 2.
+    def overflow(max_n):
+        raise OverflowError("planted")
+
+    monkeypatch.setattr("oseq.census.build_census", overflow)
+    with pytest.raises(OverflowError, match="planted"):
+        main(["bounds", "--max-n", "5"])
+
+
 def test_bounds_refuses_both_limits_before_any_pass(capsys, monkeypatch):
     # over both limits, the census maximum is named and neither pass starts
     monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
@@ -451,15 +462,15 @@ def test_partitions_above_the_table_maximum_exits_two(capsys, extra):
     assert err == "error: partition table limit 100001 exceeds the maximum 100000\n"
 
 
-def test_partitions_overflow_refused_before_the_table(capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_partitions_overflow_refused_before_the_table(capsys, monkeypatch, fmt):
     def no_table(*args, **kwargs):
         raise AssertionError("the table is built before the overflow check")
 
     monkeypatch.setattr("oseq.partitions.build_partition_table", no_table)
-    code, out, err = run_cli(capsys, "partitions", "--max-n", "100000")
-    assert code == 2
-    assert out == ""
-    assert "--log-space" in err
+    code, out, err = run_cli(capsys, "partitions", "--max-n", "100000", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: the estimate for n=100000 exceeds double range; use --log-space\n"
 
 
 def test_partitions_csv_needs_no_estimate(capsys, monkeypatch):

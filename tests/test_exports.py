@@ -63,7 +63,6 @@ PUBLIC_NAMES = [
     # partitions
     "DEFAULT_TABLE_LIMIT",
     "PartitionTable",
-    "AsymptoticEstimate",
     "build_partition_table",
     "hardy_ramanujan",
 ]

@@ -205,6 +205,17 @@ def test_table_invariants(partition_table):
         assert partition_table.q_values[n + 1] >= partition_table.q_values[n]
 
 
+@pytest.mark.parametrize("limit", [0, 1, 2, 1023, 1024, 1025, 2047, 2048, 2049, 5000])
+def test_block_edges_match_the_full_table(table_100000, limit):
+    # Blocks of n end at the powers of two up to 1024, then at its multiples:
+    # a table that ends on, just before or just after one is the full one's prefix.
+    assert build_partition_table(limit) == (
+        limit,
+        table_100000.p_values[: limit + 1],
+        table_100000.q_values[: limit + 1],
+    )
+
+
 def test_table_limit_guard():
     with pytest.raises(ValueError):
         build_partition_table(-1)
@@ -239,52 +250,40 @@ def test_pq_strictness_pattern_through_10000(table_100000):
 def test_hardy_ramanujan_at_one():
     est = hardy_ramanujan(1)
     expected = math.exp(math.pi * math.sqrt(2 / 3)) / (4 * math.sqrt(3))
-    assert est.estimate == pytest.approx(expected, rel=1e-12)
-    assert est.estimate == pytest.approx(1.8766704226053692, rel=1e-12)
-    assert not est.log_space
-    assert est.ratio is None
+    assert est == pytest.approx(expected, rel=1e-12)
+    assert est == pytest.approx(1.8766704226053692, rel=1e-12)
+    with pytest.raises(ValueError):
+        hardy_ramanujan(0)
 
 
 def test_hardy_ramanujan_ratio(partition_table):
-    est = hardy_ramanujan(100, table=partition_table)
-    assert est.ratio == pytest.approx(0.956284813845897, rel=1e-9)
-    assert 0.90 <= est.ratio <= 1.00
+    ratio = partition_table.p_values[100] / hardy_ramanujan(100)
+    assert ratio == pytest.approx(0.956284813845897, rel=1e-9)
+    assert 0.90 <= ratio <= 1.00
 
 
-def test_hardy_ramanujan_log_space_consistency(partition_table):
-    plain = hardy_ramanujan(50, table=partition_table)
-    logged = hardy_ramanujan(50, table=partition_table, log_space=True)
-    assert logged.log_space
-    assert math.exp(logged.estimate) == pytest.approx(plain.estimate, rel=1e-12)
-    assert logged.ratio == pytest.approx(plain.ratio, rel=1e-12)
+def test_hardy_ramanujan_log_space_consistency():
+    plain = hardy_ramanujan(50)
+    logged = hardy_ramanujan(50, log_space=True)
+    assert math.exp(logged) == pytest.approx(plain, rel=1e-12)
 
 
 def test_hardy_ramanujan_overflow_behaviour():
     with pytest.raises(OverflowError, match="log_space"):
         hardy_ramanujan(10**6)
-    est = hardy_ramanujan(10**6, log_space=True)
-    assert est.log_space
-    assert est.estimate > 2000
-    assert est.ratio is None
-
-
-def test_hardy_ramanujan_ratio_needs_coverage(partition_table):
-    est = hardy_ramanujan(partition_table.limit + 10, table=partition_table, log_space=True)
-    assert est.ratio is None
-    with pytest.raises(ValueError):
-        hardy_ramanujan(0)
+    assert hardy_ramanujan(10**6, log_space=True) > 2000
 
 
 @pytest.mark.parametrize("log_space", [False, True], ids=["plain", "log-space"])
 def test_estimate_loop_equals_hardy_ramanujan(log_space):
-    # The CLI prints the loop's floats, so they must be hardy_ramanujan's to the bit.
+    # The CLI prints the loop's floats, so its estimates must be
+    # hardy_ramanujan's to the bit, and its ratios p(n) / estimate.
     table = build_partition_table(2000)
-    expected = [
-        (e.estimate, e.ratio)
-        for e in (hardy_ramanujan(n, table=table, log_space=log_space) for n in range(1, 2001))
-    ]
     got = list(_estimates(table, log_space))
-    assert [(e.hex(), r.hex()) for e, r in got] == [(e.hex(), r.hex()) for e, r in expected]
+    expected = [hardy_ramanujan(n, log_space=log_space) for n in range(1, 2001)]
+    assert [e.hex() for e, _ in got] == [e.hex() for e in expected]
+    ratios = [table.p_values[n] / hardy_ramanujan(n) for n in range(1, 2001)]
+    assert [r for _, r in got] == pytest.approx(ratios, rel=1e-12)
 
 
 def test_write_csv_exact_output(capsys):

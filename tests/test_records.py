@@ -15,14 +15,13 @@ from oseq.bounds import BoundsRecord, BoundsReport, RemarkReport, StaircaseDecom
 from oseq.census import CensusTable
 from oseq.cli import _Output
 from oseq.macaulay import HVector, MacaulayExpansion, ValidityReport
-from oseq.partitions import AsymptoticEstimate, PartitionTable
+from oseq.partitions import PartitionTable
 
 BOUNDS_RECORD = dict(n=2, count=1, lower=1, log_upper=2.5, c1_emp=0.0, c2_emp=0.0)
 
 # Each record type with the fields of one instance, in declaration order.
 RECORDS = [
     (PartitionTable, dict(limit=2, p_values=(1, 1, 2), q_values=(1, 1, 1))),
-    (AsymptoticEstimate, dict(n=1, estimate=1.87, log_space=False, ratio=None)),
     (CensusTable, dict(records={1: 1, 2: 1}, max_n=2)),
     (BoundsRecord, BOUNDS_RECORD),
     (BoundsReport, dict(records=(BoundsRecord(**BOUNDS_RECORD),), c1_min=None, c2_max=None)),
