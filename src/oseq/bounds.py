@@ -20,7 +20,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import TheoremViolationError
-from .macaulay import HVector, pseudopower
+from .macaulay import HVector, is_o_sequence, pseudopower
 
 if TYPE_CHECKING:  # annotations only: importing bounds does not load partitions
     from .census import CensusTable
@@ -210,7 +210,17 @@ class RemarkReport(NamedTuple):
 
 
 def remark_profile(h: HVector) -> RemarkReport:
-    """Decompose every pre-critical entry and assert the window lemma between degrees."""
+    """Decompose every pre-critical entry and assert the window lemma between degrees.
+
+    The lemma holds for O-sequences only, so ``h`` must pass ``is_o_sequence``:
+    any other sequence is refused with ValueError, naming the reason and index.
+    """
+    report = is_o_sequence(h.entries)
+    if not report.valid:
+        seq = ",".join(map(str, h.entries))
+        raise ValueError(
+            f"{seq} is not an O-sequence: {report.reason} at index {report.first_violation}"
+        )
     j = critical_index(h)
     decomps = tuple((i, staircase_decompose(h.entries[i], i)) for i in range(1, j))
     for (_, previous), (i, current) in zip(decomps, decomps[1:]):

@@ -50,14 +50,15 @@ class HVector:
     condition is NOT enforced here, so an HVector may still fail
     ``is_o_sequence``. Zero entries are rejected outright: a zero forces all
     later entries to zero, so canonical sequences simply stop at the last
-    positive entry. An HVector is immutable and compares and hashes by its
-    entries.
+    positive entry. An HVector holds its entries as a tuple, is immutable,
+    and compares and hashes by its entries.
     """
 
     __slots__ = ("entries",)
     entries: tuple[int, ...]
 
-    def __init__(self, entries: tuple[int, ...]) -> None:
+    def __init__(self, entries: Sequence[int]) -> None:
+        entries = tuple(entries)  # a tuple comes back as the same object
         if fault := _canonical_fault(entries):
             raise ValueError(
                 "all entries must be positive" if fault == REASON_ZERO_ENTRY
@@ -170,9 +171,13 @@ def pseudopower(a: int, d: int) -> int:
     """The growth bound a^<d>: the largest admissible next value after a.
 
     Given h_d = a, Macaulay's condition allows h_{d+1} up to this value.
-    Computed by lifting every term of the degree-d expansion of a. By
-    convention the pseudopower of 0 is 0 (the expansion is empty), which
-    makes the growth condition truncate sequences after a zero.
+    Computed by lifting every term of the degree-d expansion of a; by
+    convention the pseudopower of 0 is 0 (the expansion is empty).
+
+    The memo serves the callers that ask for the same (a, d) again and
+    again: the prefix walk ``census.precritical_prefixes``, ``is_o_sequence``
+    and ``bounds.staircase_decompose``. The census pass asks for each of its
+    caps once, so it calls ``macaulay_expand(a, d).lift()`` directly.
     """
     if d <= 0:
         raise ValueError(f"pseudopower needs degree d >= 1, got {d}")

@@ -175,6 +175,13 @@ def test_remark_profile_worked_example():
     assert (by_degree[3].t, by_degree[3].alpha) == (0, 0)
 
 
+def test_remark_profile_refuses_a_non_o_sequence():
+    # (1, 3, 3, 10) is canonical, but 10 > 3^<2> = 4: bad input, not a theorem violation
+    with pytest.raises(ValueError) as excinfo:
+        remark_profile(HVector((1, 3, 3, 10)))
+    assert str(excinfo.value) == "1,3,3,10 is not an O-sequence: growth-violation at index 2"
+
+
 def test_remark_profile_empty_window():
     report = remark_profile(HVector((1, 1, 1, 1)))
     assert report.critical_index == 1

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,11 +32,12 @@ from oseq.census import (
 )
 from oseq.cli import main
 from oseq.errors import EnumerationCapError, ResourceLimitError, TheoremViolationError
-from oseq.macaulay import HVector, is_o_sequence
+from oseq.macaulay import HVector, is_o_sequence, pseudopower
 from oseq.partitions import build_partition_table
 
 KNOWN_COUNTS = [1, 1, 2, 3, 5, 8, 12, 18, 27, 40, 57, 82]  # n = 1..12
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+README_PATH = SRC_DIR.parent / "README.md"
 
 
 def test_small_counts():
@@ -207,6 +209,25 @@ def test_pass_prunes_against_its_own_limit(census_to_2000):
     around_triangular = [t + step for t in (210, 300, 406) for step in (-1, 0, 1)]
     for n in [*range(1, 121), *around_triangular, 999]:
         assert CensusCounter().count(n) == census_to_2000.records[n], n
+
+
+def test_readme_growth_table_matches_the_bounds_report(census_to_2000):
+    # the README's ln L(n)/sqrt(n) and ln L(n)/(sqrt(n) ln n) rows, as printed to 3 places
+    report = build_bounds_report(census_to_2000, build_partition_table(2000))
+    rows = re.findall(r"^\| (\d+) \| (\d+\.\d{3}) \| (\d+\.\d{3}) \|$", README_PATH.read_text(), re.M)
+    assert [int(n) for n, _, _ in rows] == [200, 500, 1000, 2000]
+    for n, c1, c2 in rows:
+        record = report.records[int(n) - 1]
+        assert (c1, c2) == (f"{record.c1_emp:.3f}", f"{record.c2_emp:.3f}"), n
+
+
+def test_census_pass_does_not_use_the_pseudopower_memo():
+    # the pass asks for each cap once, so the memo would only grow
+    for count in (count_osequences, build_census):
+        pseudopower.cache_clear()
+        count(300)
+        info = pseudopower.cache_info()
+        assert (info.hits, info.misses) == (0, 0), count.__name__
 
 
 def test_count_osequences_admits_1001(census_to_2000):

@@ -228,6 +228,16 @@ def test_hvector_rejects_malformed_entries():
         HVector((1, 0, 1))
 
 
+def test_hvector_built_from_a_list_holds_a_tuple():
+    from_list, from_tuple = HVector([1, 2, 2]), HVector((1, 2, 2))
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    assert from_list.entries == (1, 2, 2) and type(from_list.entries) is tuple
+    assert repr(from_list) == "HVector(entries=(1, 2, 2))"
+    entries = (1, 3, 4, 4)
+    assert HVector(entries).entries is entries
+
+
 def test_canonical_fault_decides_for_hvector_and_is_o_sequence():
     # The one canonical-form predicate: HVector accepts exactly what it
     # passes, and is_o_sequence reports its reason, or a reason of its own
