@@ -1,10 +1,13 @@
 """Verification of the census bounds and of the per-sequence structure theorems.
 
-For every computed length n the census count is squeezed between the exact
-partition number p(n-1) (big-integer comparison) and the product
-sqrt(2n) * p(n) * n^sqrt(2n), checked in log space. Both inequalities are
-theorems: a violation is an implementation bug and raises, so no record
-stores a pass/fail flag.
+For every computed length n the census count L(n) is squeezed between
+p(n-1) and J * n^(J-1) * p(n), J = isqrt(2n - 1), both compared exactly on
+big integers. The upper bound counts the paper's split: a critical index
+j <= J (j^2 < 2n), j - 1 prefix entries of at most n each, and a partition
+tail. As J <= sqrt(2n), it implies the log bound the report prints,
+ln sqrt(2n) + ln p(n) + sqrt(2n) ln n. Both inequalities are theorems: a
+violation is an implementation bug and raises, so no record stores a
+pass/fail flag.
 
 The per-sequence operations expose the structure behind the upper bound:
 the critical index (first degree where the value drops to the degree or
@@ -27,7 +30,6 @@ if TYPE_CHECKING:  # annotations only: importing bounds does not load partitions
     from .partitions import PartitionTable
 
 __all__ = [
-    "UPPER_BOUND_RELATIVE_SLACK",
     "BoundsRecord",
     "BoundsReport",
     "StaircaseDecomposition",
@@ -39,11 +41,6 @@ __all__ = [
     "staircase_decompose",
     "remark_profile",
 ]
-
-# The log-space upper bound is astronomically loose; this slack only absorbs
-# floating-point error in the comparison itself.
-UPPER_BOUND_RELATIVE_SLACK = 1e-6
-
 
 def critical_index(h: HVector) -> int:
     """Smallest index i with h_i <= i, or e + 1 when no entry qualifies."""
@@ -80,9 +77,11 @@ class BoundsRecord(NamedTuple):
 
     Both bounds hold: ``build_bounds_report`` raises before it would build a
     record that breaks either. ``count`` is exact; ``lower`` is p(n-1).
-    ``log_upper`` is ln sqrt(2n) + ln p(n) + sqrt(2n) * ln n, natural logs
-    throughout. The empirical constants are ln(count)/sqrt(n) and
-    ln(count)/(sqrt(n) * ln n); the latter is undefined at n = 1.
+    ``log_upper`` is ln sqrt(2n) + ln p(n) + sqrt(2n) * ln n (natural logs
+    throughout), implied by the bound count <= J * n^(J-1) * p(n),
+    J = isqrt(2n - 1), that the report checks. The empirical constants are
+    ln(count)/sqrt(n) and ln(count)/(sqrt(n) * ln n); the latter is
+    undefined at n = 1.
     """
 
     n: int
@@ -102,11 +101,11 @@ class BoundsReport(NamedTuple):
 def build_bounds_report(census: CensusTable, partitions: PartitionTable) -> BoundsReport:
     """Check both bounds for every n covered by census and partition tables.
 
-    The lower bound is compared exactly on big integers. The upper bound is
-    compared in log space: math.log of a big integer keeps the full
-    magnitude (digit count plus refined mantissa), and
-    ``UPPER_BOUND_RELATIVE_SLACK`` is relative to the bound. The empirical
-    constant envelopes are taken over n >= 3, where the count first exceeds 1.
+    Both are compared exactly on big integers: p(n-1) <= L(n) <= J *
+    n^(J-1) * p(n), J = isqrt(2n - 1), equality at n = 1. The upper bound
+    implies ``log_upper``, which is computed only to be printed. The
+    empirical constant envelopes are taken over n >= 3, where the count
+    first exceeds 1.
     """
     max_n = min(census.max_n, partitions.limit)
     if max_n < 1:
@@ -115,18 +114,21 @@ def build_bounds_report(census: CensusTable, partitions: PartitionTable) -> Boun
     for n in range(1, max_n + 1):
         count = census.records[n]
         lower = partitions.p_values[n - 1]
-        log_count = math.log(count)
-        root = math.sqrt(2.0 * n)
-        log_upper = math.log(root) + math.log(partitions.p_values[n]) + root * math.log(n)
+        p_n = partitions.p_values[n]
         if lower > count:
             raise TheoremViolationError(
                 f"lower bound p(n-1) <= count failed at n={n}: {lower} > {count}"
             )
-        if log_count > log_upper + UPPER_BOUND_RELATIVE_SLACK * abs(log_upper):
+        j_max = math.isqrt(2 * n - 1)  # the largest j with j^2 < 2n
+        upper = j_max * n ** (j_max - 1) * p_n
+        if count > upper:
             raise TheoremViolationError(
-                f"log-space upper bound failed at n={n}: "
-                f"ln count {log_count} > {log_upper}"
+                f"upper bound L(n) <= J * n^(J-1) * p(n) failed at n={n}, J={j_max}: "
+                f"{count} > {upper}"
             )
+        root = math.sqrt(2.0 * n)
+        log_upper = math.log(root) + math.log(p_n) + root * math.log(n)
+        log_count = math.log(count)
         c1 = log_count / math.sqrt(n)
         c2 = log_count / (math.sqrt(n) * math.log(n)) if n >= 2 else None
         records.append(BoundsRecord(n, count, lower, log_upper, c1, c2))

@@ -6,8 +6,11 @@ strings, schemas shipped under schemas/). Each runner describes its output
 once, and ``_render`` writes it in the chosen format, streaming long record
 lists in chunks. Exit codes: 0 success; 1 invalid input sequence (``check``,
 and ``remark``, which then prints what ``check`` prints); 2 resource-limit
-refusal or bad usage; 3 theorem-backed invariant violation, such as a failed
-bound or a non-canonical piece built by the enumerate walk (always a bug).
+refusal, bad usage, or output that cannot be written (a full disk, say:
+one ``error: cannot write output:`` line); 3 theorem-backed invariant
+violation, such as a failed bound or a non-canonical piece built by the
+enumerate walk (always a bug); 141 stdout closed by its reader before the
+output ended (``| head``), with nothing on stderr.
 ``census``, ``macaulay``, ``bounds``, ``partitions`` and ``json`` are
 imported by the runners that use them, so a job loads only what it runs:
 ``partitions`` loads neither ``census`` nor ``macaulay``, and ``check`` does
@@ -17,6 +20,7 @@ not load ``census``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import chain, islice
 from typing import Any, Iterable, Iterator, NamedTuple
@@ -27,6 +31,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_RESOURCE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # as a shell reports a death by SIGPIPE (128 + 13)
 
 # Lines or records per write. One write per record made `enumerate --n 38`
 # about 50 % slower in json and 20 % in table format; one write for
@@ -368,12 +373,15 @@ def _run_partitions(args: argparse.Namespace) -> int:
 
 def _run_remark(args: argparse.Namespace) -> int:
     from .bounds import remark_profile
-    from .macaulay import HVector, is_o_sequence
+    from .macaulay import HVector
 
-    if not is_o_sequence(args.sequence).valid:
+    # Both refusals, HVector's (canonical form) and remark_profile's (growth),
+    # are ValueError; a failed window lemma is TheoremViolationError (exit 3).
+    try:
+        profile = remark_profile(HVector(args.sequence))
+    except ValueError:
         return _run_check(args)  # the refusal is check's record, in the chosen format
     seq = ",".join(map(str, args.sequence))
-    profile = remark_profile(HVector(args.sequence))  # raises if the window lemma fails
     decomps = [
         {"degree": degree, "in_range": False}
         if d is None
@@ -433,7 +441,20 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(build_parser().parse_args(argv))
+    """Parse, run and flush; a reader that quits early or a failed write is no traceback."""
+    args = build_parser().parse_args(argv)
+    try:
+        code = run(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Point stdout at devnull, so the interpreter's final flush of what is
+        # still buffered cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # the reader has gone (`| head`)
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return EXIT_RESOURCE
+    return code
 
 
 if __name__ == "__main__":

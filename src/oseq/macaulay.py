@@ -172,7 +172,10 @@ def pseudopower(a: int, d: int) -> int:
 
     Given h_d = a, Macaulay's condition allows h_{d+1} up to this value.
     Computed by lifting every term of the degree-d expansion of a; by
-    convention the pseudopower of 0 is 0 (the expansion is empty).
+    convention the pseudopower of 0 is 0 (the expansion is empty). Once the
+    remainder r is at most the degree k, the rest of the expansion is r terms
+    C(k, k), C(k-1, k-1), ..., each lifting to 1, so they are added as r and
+    a <= d costs no search at all.
 
     The memo serves the callers that ask for the same (a, d) again and
     again: the prefix walk ``census.precritical_prefixes``, ``is_o_sequence``
@@ -183,9 +186,13 @@ def pseudopower(a: int, d: int) -> int:
         raise ValueError(f"pseudopower needs degree d >= 1, got {d}")
     if a < 0:
         raise ValueError(f"pseudopower needs a >= 0, got {a}")
-    if a == 0:
-        return 0
-    return macaulay_expand(a, d).lift()
+    lifted, rem, k = 0, a, d
+    while rem > k:
+        m = _largest_top_index(rem, k)
+        lifted += math.comb(m + 1, k + 1)
+        rem -= math.comb(m, k)
+        k -= 1
+    return lifted + rem
 
 
 class ValidityReport(NamedTuple):

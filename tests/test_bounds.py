@@ -199,7 +199,10 @@ def test_bounds_report_small_range(census_table, partition_table):
     assert len(report.records) == 60
     for r in report.records:
         assert r.lower <= r.count
-        assert math.log(r.count) <= r.log_upper + 1e-6 * abs(r.log_upper)
+        j_max = math.isqrt(2 * r.n - 1)
+        upper = j_max * r.n ** (j_max - 1) * partition_table.p_values[r.n]
+        assert r.count <= upper
+        assert math.log(upper) <= r.log_upper  # J <= sqrt(2n): it implies the printed bound
     first = report.records[0]
     assert (first.n, first.count, first.lower) == (1, 1, 1)
     assert first.c1_emp == 0.0
@@ -227,8 +230,22 @@ def test_bounds_report_rejects_planted_violation(partition_table):
 
 def test_bounds_report_rejects_planted_upper_violation(partition_table):
     fake = CensusTable(records={1: 1, 2: 10**10}, max_n=2)
-    with pytest.raises(TheoremViolationError, match="log-space upper bound failed at n=2"):
+    with pytest.raises(TheoremViolationError) as excinfo:
         build_bounds_report(fake, partition_table)
+    assert str(excinfo.value) == (
+        "upper bound L(n) <= J * n^(J-1) * p(n) failed at n=2, J=1: 10000000000 > 2"
+    )
+
+
+def test_bounds_report_upper_bound_is_exact(partition_table):
+    # At n = 2, J = 1 and the bound is p(2) = 2, while the printed log bound
+    # is ln 2 + ln 2 + 2 ln 2 = 2.77: a float check cannot tell 2 from 3.
+    at_bound = build_bounds_report(CensusTable(records={1: 1, 2: 2}, max_n=2), partition_table)
+    assert [r.count for r in at_bound.records] == [1, 2]
+    assert math.log(3) < at_bound.records[1].log_upper
+    with pytest.raises(TheoremViolationError) as excinfo:
+        build_bounds_report(CensusTable(records={1: 1, 2: 3}, max_n=2), partition_table)
+    assert str(excinfo.value) == "upper bound L(n) <= J * n^(J-1) * p(n) failed at n=2, J=1: 3 > 2"
 
 
 def test_bounds_payload_shape(capsys):

@@ -39,6 +39,7 @@ from oseq.census import (
 )
 from oseq.cli import _Output, _render, build_parser, main
 from oseq.errors import TheoremViolationError
+from oseq.macaulay import is_o_sequence
 from oseq.partitions import DEFAULT_TABLE_LIMIT, build_partition_table
 
 KNOWN_COUNTS = [1, 1, 2, 3, 5, 8, 12, 18, 27, 40, 57, 82]
@@ -384,6 +385,18 @@ def test_theorem_violation_exits_three(capsys, monkeypatch):
     assert err == "internal error (bug): lower bound p(n-1) <= count failed at n=3: 2 > 1\n"
 
 
+def test_upper_bound_violation_exits_three(capsys, monkeypatch):
+    # L(2) = 3 is one above the exact bound J * n^(J-1) * p(n) = 2 at n = 2.
+    fake = CensusTable(records={1: 1, 2: 3}, max_n=2)
+    monkeypatch.setattr("oseq.census.build_census", lambda max_n: fake)
+    code, out, err = run_cli(capsys, "bounds", "--max-n", "2")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "internal error (bug): upper bound L(n) <= J * n^(J-1) * p(n) failed at n=2, J=1: 3 > 2\n"
+    )
+
+
 def test_stray_overflow_error_is_not_a_refusal(monkeypatch):
     # Exit 2 is for refusals the code states; an OverflowError from anywhere
     # else is a bug, so it propagates instead of exiting 2.
@@ -393,6 +406,35 @@ def test_stray_overflow_error_is_not_a_refusal(monkeypatch):
     monkeypatch.setattr("oseq.census.build_census", overflow)
     with pytest.raises(OverflowError, match="planted"):
         main(["bounds", "--max-n", "5"])
+
+
+def cli_child(*argv: str, stdout) -> subprocess.Popen:
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.Popen(
+        [sys.executable, "-m", "oseq.cli", *argv], env=env, stdout=stdout, stderr=subprocess.PIPE
+    )
+
+
+def test_closed_pipe_exits_141_quietly():
+    # `oseq enumerate --n 40 --cap 10000000 | head -1`: the reader takes one
+    # line and quits long before the stream ends.
+    child = cli_child("enumerate", "--n", "40", "--cap", "10000000", stdout=subprocess.PIPE)
+    assert child.stdout.readline() == b",".join([b"1"] * 40) + b"\n"
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_disk_exits_two_with_one_line():
+    with open("/dev/full", "wb") as full:
+        child = cli_child("check", "1,3,4,4", stdout=full)
+        _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (
+        2,
+        b"error: cannot write output: No space left on device\n",
+    )
 
 
 def test_bounds_refuses_both_limits_before_any_pass(capsys, monkeypatch):
@@ -534,6 +576,22 @@ def test_remark_refuses_exactly_as_check(capsys, sequence, fmt):
     checked = run_cli(capsys, "check", sequence, "--format", fmt)
     assert checked[0] == 1
     assert run_cli(capsys, "remark", sequence, "--format", fmt) == checked
+
+
+def test_remark_validates_once(capsys, monkeypatch):
+    # One spy under both names the validity test is reached by: the CLI's
+    # import of oseq.macaulay and remark_profile's own.
+    calls = []
+
+    def spy(candidate):
+        calls.append(tuple(candidate))
+        return is_o_sequence(candidate)
+
+    monkeypatch.setattr("oseq.macaulay.is_o_sequence", spy)
+    monkeypatch.setattr("oseq.bounds.is_o_sequence", spy)
+    code, _, err = run_cli(capsys, "remark", "1,3,4,4")
+    assert (code, err) == (0, "")
+    assert calls == [(1, 3, 4, 4)]
 
 
 def test_remark_csv(capsys):

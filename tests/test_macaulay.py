@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oseq.macaulay
 from oseq.macaulay import (
     REASON_BAD_H0,
     REASON_GROWTH,
@@ -187,6 +188,38 @@ def test_pseudopower_monotone_in_value(a, b, d):
     if a > b:
         a, b = b, a
     assert pseudopower(a, d) <= pseudopower(b, d)
+
+
+def test_pseudopower_adds_the_unit_tail_without_a_search(monkeypatch):
+    # Once the remainder is at most the degree, every further term is C(k, k)
+    # and lifts to 1. Counted in searches, not time, so the gate cannot flap.
+    calls = []
+
+    def counted(value, k):
+        calls.append((value, k))
+        return largest_top_index(value, k)
+
+    largest_top_index = oseq.macaulay._largest_top_index
+    monkeypatch.setattr(oseq.macaulay, "_largest_top_index", counted)
+    pseudopower.cache_clear()
+    try:
+        assert pseudopower(10**4, 10**4) == 10**4
+        assert calls == []
+        assert is_o_sequence((1,) + (10_000,) * 10_000).valid
+        assert len(calls) < 100_000
+    finally:
+        pseudopower.cache_clear()  # no entry computed through the spy outlives it
+
+
+@given(a=st.integers(min_value=1, max_value=10**30), d=st.integers(min_value=1, max_value=60))
+def test_pseudopower_is_the_lift_of_the_expansion(a, d):
+    assert pseudopower(a, d) == macaulay_expand(a, d).lift()
+
+
+def test_pseudopower_is_the_lift_of_the_expansion_on_small_values():
+    for a in range(1, 400):
+        for d in range(1, 40):
+            assert pseudopower(a, d) == macaulay_expand(a, d).lift(), (a, d)
 
 
 def test_pseudopower_thread_safety_smoke():
