@@ -211,6 +211,10 @@ class RemarkReport(NamedTuple):
     critical_index: int
 
 
+class _NotAnOSequence(ValueError):
+    """``remark_profile``'s refusal of a sequence that fails ``is_o_sequence``."""
+
+
 def remark_profile(h: HVector) -> RemarkReport:
     """Decompose every pre-critical entry and assert the window lemma between degrees.
 
@@ -220,7 +224,7 @@ def remark_profile(h: HVector) -> RemarkReport:
     report = is_o_sequence(h.entries)
     if not report.valid:
         seq = ",".join(map(str, h.entries))
-        raise ValueError(
+        raise _NotAnOSequence(
             f"{seq} is not an O-sequence: {report.reason} at index {report.first_violation}"
         )
     j = critical_index(h)

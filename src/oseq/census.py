@@ -36,7 +36,7 @@ from operator import add
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import EnumerationCapError, ResourceLimitError, TheoremViolationError
-from .macaulay import HVector, _canonical_fault, macaulay_expand, pseudopower
+from .macaulay import HVector, _canonical_fault, _lift, pseudopower
 
 __all__ = [
     "DEFAULT_STREAM_CAP",
@@ -102,7 +102,7 @@ class CensusCounter:
                 # of the next smaller x, or above j for the smallest x.
                 low = layer[-1][0] if layer else j
                 for y in range(min(cap, len(run) - 1), low, -1):
-                    next_layer.append((macaulay_expand(y, j).lift(), run[:-y]))  # sums raised by y
+                    next_layer.append((_lift(y, j), run[:-y]))  # sums raised by y
             prefix_counts.append(run)
             next_layer.reverse()
             layer = next_layer

@@ -372,15 +372,20 @@ def _run_partitions(args: argparse.Namespace) -> int:
 
 
 def _run_remark(args: argparse.Namespace) -> int:
-    from .bounds import remark_profile
+    from .bounds import _NotAnOSequence, remark_profile
     from .macaulay import HVector
 
-    # Both refusals, HVector's (canonical form) and remark_profile's (growth),
-    # are ValueError; a failed window lemma is TheoremViolationError (exit 3).
+    # A refusal, HVector's (canonical form) or remark_profile's (growth), is
+    # check's record in the chosen format; a failed window lemma is
+    # TheoremViolationError (exit 3), and any other error is not caught here.
     try:
-        profile = remark_profile(HVector(args.sequence))
+        h = HVector(args.sequence)
     except ValueError:
-        return _run_check(args)  # the refusal is check's record, in the chosen format
+        return _run_check(args)
+    try:
+        profile = remark_profile(h)
+    except _NotAnOSequence:
+        return _run_check(args)
     seq = ",".join(map(str, args.sequence))
     decomps = [
         {"degree": degree, "in_range": False}

@@ -166,26 +166,14 @@ def macaulay_expand(a: int, d: int) -> MacaulayExpansion:
     return MacaulayExpansion(degree=d, terms=tuple(terms))
 
 
-@lru_cache(maxsize=None)
-def pseudopower(a: int, d: int) -> int:
-    """The growth bound a^<d>: the largest admissible next value after a.
+def _lift(a: int, d: int) -> int:
+    """a^<d> for a >= 0 and d >= 1, the value of ``macaulay_expand(a, d).lift()``.
 
-    Given h_d = a, Macaulay's condition allows h_{d+1} up to this value.
-    Computed by lifting every term of the degree-d expansion of a; by
-    convention the pseudopower of 0 is 0 (the expansion is empty). Once the
-    remainder r is at most the degree k, the rest of the expansion is r terms
-    C(k, k), C(k-1, k-1), ..., each lifting to 1, so they are added as r and
-    a <= d costs no search at all.
-
-    The memo serves the callers that ask for the same (a, d) again and
-    again: the prefix walk ``census.precritical_prefixes``, ``is_o_sequence``
-    and ``bounds.staircase_decompose``. The census pass asks for each of its
-    caps once, so it calls ``macaulay_expand(a, d).lift()`` directly.
+    Once the remainder r is at most the degree k, the rest of the expansion
+    is r terms C(k, k), C(k-1, k-1), ..., each lifting to 1, so they are
+    added as r and a <= d costs no search at all. No validation, no memo:
+    the census pass calls this once per cap.
     """
-    if d <= 0:
-        raise ValueError(f"pseudopower needs degree d >= 1, got {d}")
-    if a < 0:
-        raise ValueError(f"pseudopower needs a >= 0, got {a}")
     lifted, rem, k = 0, a, d
     while rem > k:
         m = _largest_top_index(rem, k)
@@ -193,6 +181,26 @@ def pseudopower(a: int, d: int) -> int:
         rem -= math.comb(m, k)
         k -= 1
     return lifted + rem
+
+
+@lru_cache(maxsize=None)
+def pseudopower(a: int, d: int) -> int:
+    """The growth bound a^<d>: the largest admissible next value after a.
+
+    Given h_d = a, Macaulay's condition allows h_{d+1} up to this value.
+    Computed by lifting every term of the degree-d expansion of a; by
+    convention the pseudopower of 0 is 0 (the expansion is empty).
+
+    The memo serves the callers that ask for the same (a, d) again and
+    again: the prefix walk ``census.precritical_prefixes``, ``is_o_sequence``
+    and ``bounds.staircase_decompose``. The census pass asks for each of its
+    caps once, so it calls the same computation, ``_lift``, directly.
+    """
+    if d <= 0:
+        raise ValueError(f"pseudopower needs degree d >= 1, got {d}")
+    if a < 0:
+        raise ValueError(f"pseudopower needs a >= 0, got {a}")
+    return _lift(a, d)
 
 
 class ValidityReport(NamedTuple):

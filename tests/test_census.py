@@ -17,6 +17,8 @@ from collections import Counter
 
 import pytest
 
+import oseq.census
+import oseq.macaulay
 from oseq.bounds import build_bounds_report, staircase_decompose
 from oseq.census import (
     _MAX_CENSUS_CEILING,
@@ -228,6 +230,24 @@ def test_census_pass_does_not_use_the_pseudopower_memo():
         count(300)
         info = pseudopower.cache_info()
         assert (info.hits, info.misses) == (0, 0), count.__name__
+
+
+def test_census_pass_lifts_through_the_one_lift(monkeypatch, census_to_2000):
+    # the caps come from macaulay._lift, the loop behind pseudopower, and
+    # the expansion records are never built
+    calls = []
+
+    def lift(a, d):
+        calls.append((a, d))
+        return oseq.macaulay._lift(a, d)
+
+    def refuse(a, d):
+        raise AssertionError("the census pass built an expansion")
+
+    monkeypatch.setattr(oseq.census, "_lift", lift)
+    monkeypatch.setattr(oseq.macaulay, "macaulay_expand", refuse)
+    assert CensusCounter().count(60) == census_to_2000.records[60]
+    assert calls and all(a > d >= 1 for a, d in calls)
 
 
 def test_count_osequences_admits_1001(census_to_2000):

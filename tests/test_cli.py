@@ -594,6 +594,18 @@ def test_remark_validates_once(capsys, monkeypatch):
     assert calls == [(1, 3, 4, 4)]
 
 
+def test_remark_does_not_mistake_a_bug_for_a_refusal(capsys, monkeypatch):
+    # Only the two refusals become check's record: a ValueError from the
+    # staircase pass on a valid sequence is a bug and leaves main as it is.
+    def broken(value, degree):
+        raise ValueError("planted")
+
+    monkeypatch.setattr("oseq.bounds.staircase_decompose", broken)
+    with pytest.raises(ValueError, match="planted"):
+        main(["remark", "1,3,4,4"])
+    assert capsys.readouterr().out == ""
+
+
 def test_remark_csv(capsys):
     code, out, _ = run_cli(capsys, "remark", "1,3,4,4", "--format", "csv")
     assert code == 0
