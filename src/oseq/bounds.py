@@ -150,9 +150,6 @@ class StaircaseDecomposition(NamedTuple):
     t: int
     alpha: int
 
-    def value(self) -> int:
-        return _staircase_sum(self.degree, self.t) + self.alpha
-
 
 def _staircase_sum(degree: int, t: int) -> int:
     # (degree+1) + degree + ... + (degree-t+1), i.e. t+1 consecutive integers

@@ -6,11 +6,12 @@ strings, schemas shipped under schemas/). Each runner describes its output
 once, and ``_render`` writes it in the chosen format, streaming long record
 lists in chunks. Exit codes: 0 success; 1 invalid input sequence (``check``,
 and ``remark``, which then prints what ``check`` prints); 2 resource-limit
-refusal, bad usage, or output that cannot be written (a full disk, say:
-one ``error: cannot write output:`` line); 3 theorem-backed invariant
-violation, such as a failed bound or a non-canonical piece built by the
-enumerate walk (always a bug); 141 stdout closed by its reader before the
-output ended (``| head``), with nothing on stderr.
+refusal, bad usage, or output that cannot be written (a full disk, or stdout
+closed by the caller with ``>&-``: one ``error: cannot write output:`` line);
+3 theorem-backed invariant violation, such as a failed bound or a
+non-canonical piece built by the enumerate walk (always a bug); 141 stdout
+closed by its reader before the output ended (``| head``), with nothing on
+stderr. A closed or unwritable stderr loses its line, never the exit code.
 ``census``, ``macaulay``, ``bounds``, ``partitions`` and ``json`` are
 imported by the runners that use them, so a job loads only what it runs:
 ``partitions`` loads neither ``census`` nor ``macaulay``, and ``check`` does
@@ -20,6 +21,7 @@ not load ``census``.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from itertools import chain, islice
@@ -428,37 +430,35 @@ _RUNNERS = {
 }
 
 
-def run(args: argparse.Namespace) -> int:
-    """Dispatch one parsed invocation and map failures to exit codes."""
-    for field in ("n", "max_n", "cap"):
-        value = getattr(args, field, None)
-        if value is not None and value < 1:
-            print(f"error: --{field.replace('_', '-')} must be >= 1", file=sys.stderr)
-            return EXIT_RESOURCE
-    try:
-        return _RUNNERS[args.command](args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except TheoremViolationError as exc:
-        print(f"internal error (bug): {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-
-
 def main(argv: list[str] | None = None) -> int:
-    """Parse, run and flush; a reader that quits early or a failed write is no traceback."""
+    """Parse, run and flush; each failure becomes one exit code and at most one stderr line."""
     args = build_parser().parse_args(argv)
     try:
-        code = run(args)
+        for field in ("n", "max_n", "cap"):
+            value = getattr(args, field, None)
+            if value is not None and value < 1:
+                raise ResourceLimitError(f"--{field.replace('_', '-')} must be >= 1")
+        if sys.stdout is None:  # the caller closed fd 1 (`>&-`)
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        code, message = _RUNNERS[args.command](args), ""
         sys.stdout.flush()
+    except ResourceLimitError as exc:
+        code, message = EXIT_RESOURCE, f"error: {exc}"
+    except TheoremViolationError as exc:
+        code, message = EXIT_INTERNAL, f"internal error (bug): {exc}"
     except OSError as exc:
         # Point stdout at devnull, so the interpreter's final flush of what is
         # still buffered cannot fail a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):  # the reader has gone (`| head`)
             return EXIT_BROKEN_PIPE
-        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
-        return EXIT_RESOURCE
+        code, message = EXIT_RESOURCE, f"error: cannot write output: {exc.strerror}"
+    if message and sys.stderr is not None:  # closed (`2>&-`), print(file=None) would use stdout
+        try:
+            print(message, file=sys.stderr)
+        except OSError:  # stderr cannot be written (`2>/dev/full`): the exit code stands
+            pass
     return code
 
 

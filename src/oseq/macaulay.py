@@ -118,10 +118,6 @@ class MacaulayExpansion(NamedTuple):
     degree: int
     terms: tuple[tuple[int, int], ...]
 
-    def value(self) -> int:
-        """Recompose the expanded integer."""
-        return sum(math.comb(m, k) for m, k in self.terms)
-
     def lift(self) -> int:
         """Raise every term by one: sum of C(top_index + 1, degree + 1)."""
         return sum(math.comb(m + 1, k + 1) for m, k in self.terms)

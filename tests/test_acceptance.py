@@ -147,7 +147,7 @@ def test_criterion_09_staircase_decomposition():
         for value in range(low, high + 1):
             decomp = staircase_decompose(value, degree)
             assert decomp is not None, (value, degree)
-            assert decomp.value() == value
+            assert sum(range(degree - decomp.t + 1, degree + 2)) + decomp.alpha == value
             assert 0 <= decomp.alpha < degree - decomp.t
         assert staircase_decompose(low - 1, degree) is None
         assert staircase_decompose(high + 1, degree) is None

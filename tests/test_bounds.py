@@ -110,7 +110,7 @@ def test_staircase_recomposes_in_range(degree, offset):
     value = low + offset % (high - low + 1)
     decomp = staircase_decompose(value, degree)
     assert decomp is not None
-    assert decomp.value() == value
+    assert sum(range(degree - decomp.t + 1, degree + 2)) + decomp.alpha == value
     assert 0 <= decomp.alpha < degree - decomp.t
     assert 0 <= decomp.t <= degree - 1
 

@@ -6,6 +6,7 @@ subcommand, and the machine formats are checked for byte determinism.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import itertools
@@ -408,11 +409,13 @@ def test_stray_overflow_error_is_not_a_refusal(monkeypatch):
         main(["bounds", "--max-n", "5"])
 
 
-def cli_child(*argv: str, stdout) -> subprocess.Popen:
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_child(*argv: str, stdout, stderr=subprocess.PIPE) -> subprocess.Popen:
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
     return subprocess.Popen(
-        [sys.executable, "-m", "oseq.cli", *argv], env=env, stdout=stdout, stderr=subprocess.PIPE
+        [sys.executable, "-m", "oseq.cli", *argv], env=env, stdout=stdout, stderr=stderr
     )
 
 
@@ -435,6 +438,53 @@ def test_full_disk_exits_two_with_one_line():
         2,
         b"error: cannot write output: No space left on device\n",
     )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stderr_keeps_the_refusal_code():
+    # The refusal line is lost on the full stderr; the code is still the refusal's.
+    with open("/dev/full", "wb") as full:
+        child = cli_child("count", "--n", "0", stdout=subprocess.PIPE, stderr=full)
+        out, _ = child.communicate(timeout=60)
+    assert (child.returncode, out) == (2, b"")
+
+
+def closed_fd_child(*argv: str, fd: int) -> subprocess.CompletedProcess:
+    # `oseq ... >&-` (fd 1) or `oseq ... 2>&-` (fd 2): the interpreter starts
+    # with that descriptor closed, so its sys.stdout or sys.stderr is None.
+    script = f'exec "$@" {fd}>&-'
+    return subprocess.run(
+        ["sh", "-c", script, "sh", sys.executable, "-m", "oseq.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True,
+        timeout=60,
+    )
+
+
+def test_closed_stdout_exits_two_with_one_line():
+    done = closed_fd_child("check", "1,3,4,4", fd=1)
+    assert (done.returncode, done.stderr) == (
+        2,
+        f"error: cannot write output: {os.strerror(errno.EBADF)}\n".encode(),
+    )
+
+
+def test_closed_stderr_leaves_stdout_clean():
+    # print(file=None) writes to stdout, so the lost refusal line must not go there.
+    done = closed_fd_child("count", "--n", "0", fd=2)
+    assert (done.returncode, done.stdout) == (2, b"")
+
+
+def test_unwritable_stderr_keeps_the_bug_code(capsys, monkeypatch):
+    class FullWriter(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    fake = CensusTable(records={1: 1, 2: 1, 3: 1}, max_n=3)
+    monkeypatch.setattr("oseq.census.build_census", lambda max_n: fake)
+    monkeypatch.setattr(sys, "stderr", FullWriter())
+    assert main(["bounds", "--max-n", "3"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_bounds_refuses_both_limits_before_any_pass(capsys, monkeypatch):
