@@ -430,22 +430,36 @@ _RUNNERS = {
 }
 
 
+def _fail(code: int, message: str) -> int:
+    """Write the failure's stderr line and return ``code``; a lost line changes no code."""
+    try:
+        if sys.stderr is not None:  # closed (`2>&-`): print(file=None) would use stdout
+            print(message, file=sys.stderr)
+    except OSError:  # `2>/dev/full`: the buffer keeps the line, so point fd 2 at
+        try:  # devnull, or the interpreter's final flush fails and exits 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+        except OSError:  # a writer in this process may have no descriptor
+            pass
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Parse, run and flush; each failure becomes one exit code and at most one stderr line."""
+    """Parse, run and flush; each failure becomes one exit code and its stderr line."""
     args = build_parser().parse_args(argv)
     try:
-        for field in ("n", "max_n", "cap"):
-            value = getattr(args, field, None)
-            if value is not None and value < 1:
-                raise ResourceLimitError(f"--{field.replace('_', '-')} must be >= 1")
         if sys.stdout is None:  # the caller closed fd 1 (`>&-`)
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        code, message = _RUNNERS[args.command](args), ""
+        try:
+            for field in ("n", "max_n", "cap"):
+                value = getattr(args, field, None)
+                if value is not None and value < 1:
+                    raise ResourceLimitError(f"--{field.replace('_', '-')} must be >= 1")
+            code = _RUNNERS[args.command](args)
+        except ResourceLimitError as exc:
+            code = _fail(EXIT_RESOURCE, f"error: {exc}")
+        except TheoremViolationError as exc:
+            code = _fail(EXIT_INTERNAL, f"internal error (bug): {exc}")
         sys.stdout.flush()
-    except ResourceLimitError as exc:
-        code, message = EXIT_RESOURCE, f"error: {exc}"
-    except TheoremViolationError as exc:
-        code, message = EXIT_INTERNAL, f"internal error (bug): {exc}"
     except OSError as exc:
         # Point stdout at devnull, so the interpreter's final flush of what is
         # still buffered cannot fail a second time.
@@ -453,12 +467,7 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):  # the reader has gone (`| head`)
             return EXIT_BROKEN_PIPE
-        code, message = EXIT_RESOURCE, f"error: cannot write output: {exc.strerror}"
-    if message and sys.stderr is not None:  # closed (`2>&-`), print(file=None) would use stdout
-        try:
-            print(message, file=sys.stderr)
-        except OSError:  # stderr cannot be written (`2>/dev/full`): the exit code stands
-            pass
+        return _fail(EXIT_RESOURCE, f"error: cannot write output: {exc.strerror}")
     return code
 
 

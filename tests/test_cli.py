@@ -410,12 +410,18 @@ def test_stray_overflow_error_is_not_a_refusal(monkeypatch):
 
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+# Children run with default stdio buffering: an unwritable stream then keeps
+# its line in the buffer until the interpreter's final flush, as it would for
+# a user, and PYTHONUNBUFFERED in this environment would hide that flush.
+CHILD_ENV = {
+    **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    "PYTHONPATH": str(SRC_DIR),
+}
 
 
 def cli_child(*argv: str, stdout, stderr=subprocess.PIPE) -> subprocess.Popen:
-    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
     return subprocess.Popen(
-        [sys.executable, "-m", "oseq.cli", *argv], env=env, stdout=stdout, stderr=stderr
+        [sys.executable, "-m", "oseq.cli", *argv], env=CHILD_ENV, stdout=stdout, stderr=stderr
     )
 
 
@@ -455,7 +461,7 @@ def closed_fd_child(*argv: str, fd: int) -> subprocess.CompletedProcess:
     script = f'exec "$@" {fd}>&-'
     return subprocess.run(
         ["sh", "-c", script, "sh", sys.executable, "-m", "oseq.cli", *argv],
-        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        env=CHILD_ENV,
         capture_output=True,
         timeout=60,
     )
@@ -473,6 +479,30 @@ def test_closed_stderr_leaves_stdout_clean():
     # print(file=None) writes to stdout, so the lost refusal line must not go there.
     done = closed_fd_child("count", "--n", "0", fd=2)
     assert (done.returncode, done.stdout) == (2, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_bug_line_precedes_the_failed_final_flush():
+    # A runner that has buffered a row and then hits a bug: its line goes to
+    # stderr, and stdout's final flush on the full disk then adds its own.
+    script = (
+        "import sys, oseq.cli as cli\n"
+        "from oseq.errors import TheoremViolationError\n"
+        "def planted(args):\n"
+        "    print('1')\n"
+        "    raise TheoremViolationError('planted')\n"
+        "cli._RUNNERS['count'] = planted\n"
+        "sys.exit(cli.main(['count', '--n', '1']))\n"
+    )
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=CHILD_ENV, stdout=full, stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    assert (done.returncode, done.stderr) == (
+        2,
+        b"internal error (bug): planted\nerror: cannot write output: No space left on device\n",
+    )
 
 
 def test_unwritable_stderr_keeps_the_bug_code(capsys, monkeypatch):
