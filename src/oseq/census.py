@@ -49,7 +49,8 @@ __all__ = [
 ]
 
 # The largest census length any counter counts. A pass to N holds about N^2
-# cells: `oseq count --n 6000` takes 11.4 to 14.1 s and peaks at 369 MiB
+# cells: `oseq count --n 6000` took 14.6 and 14.7 s, and `oseq census
+# --max-n 6000 --format csv` 12.6 and 13.9 s, each peaking at 370 MiB
 # (launch to exit, peak RSS from os.wait4; 2-CPU x86, Python 3.11.7).
 _MAX_CENSUS_CEILING = 6000
 DEFAULT_STREAM_CAP = 100_000

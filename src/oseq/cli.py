@@ -25,7 +25,7 @@ import errno
 import os
 import sys
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator
 
 from .errors import ResourceLimitError, TheoremViolationError
 
@@ -70,14 +70,17 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("check", help="validate a candidate sequence")
+    p.set_defaults(run=_run_check)
     p.add_argument("sequence", type=_parse_sequence, help="comma-separated entries, e.g. 1,3,4,4")
     add_format(p)
 
     p = sub.add_parser("count", help="exact number of O-sequences of length n")
+    p.set_defaults(run=_run_count)
     p.add_argument("--n", type=int, required=True)
     add_format(p)
 
     p = sub.add_parser("enumerate", help="list every O-sequence of length n")
+    p.set_defaults(run=_run_enumerate)
     p.add_argument("--n", type=int, required=True)
     add_format(p)
     p.add_argument(
@@ -88,14 +91,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("census", help="counts for every length up to max-n")
+    p.set_defaults(run=_run_census)
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     add_format(p)
 
     p = sub.add_parser("bounds", help="verify both count bounds up to max-n")
+    p.set_defaults(run=_run_bounds)
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     add_format(p)
 
     p = sub.add_parser("partitions", help="exact p/q table up to max-n")
+    p.set_defaults(run=_run_partitions)
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     add_format(p)
     p.add_argument(
@@ -105,31 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("remark", help="staircase profile of one sequence")
+    p.set_defaults(run=_run_remark)
     p.add_argument("sequence", type=_parse_sequence, help="comma-separated entries")
     add_format(p)
 
     return parser
-
-
-class _Output(NamedTuple):
-    """What one command prints, in every format.
-
-    ``head`` holds the JSON top-level fields. With a ``key``, ``records``
-    follow them in JSON as a list under that key and are the CSV rows;
-    without one, ``head`` is the single CSV row. Records are dicts or
-    strings, either all of one kind or all of the other. ``columns`` names
-    the CSV cells, read from each dict record. A ``str`` record is already
-    in the output format (CSV lines, JSON values) and is written as is; it
-    may hold several rows, joined by the format's row separator (a newline,
-    or a comma in JSON). ``lines`` is the table. ``records`` and ``lines``
-    may be generators: only the one the format needs is consumed.
-    """
-
-    head: dict[str, Any]
-    columns: tuple[str, ...]
-    lines: Iterable[str]
-    key: str | None = None
-    records: Iterable[Any] = ()
 
 
 def _cell(value: Any) -> str:
@@ -156,27 +142,44 @@ def _json(value: Any) -> str:
     return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
-def _render(output: _Output, fmt: str) -> None:
-    """Write ``output`` to stdout as a table, csv or json."""
+def _render(
+    fmt: str,
+    head: dict[str, Any],
+    columns: tuple[str, ...],
+    lines: Iterable[str],
+    key: str | None = None,
+    records: Iterable[Any] = (),
+) -> None:
+    """Write what one command prints to stdout as a table, csv or json.
+
+    ``head`` holds the JSON top-level fields. With a ``key``, ``records``
+    follow them in JSON as a list under that key and are the CSV rows;
+    without one, ``head`` is the single CSV row. Records are dicts or
+    strings, either all of one kind or all of the other. ``columns`` names
+    the CSV cells, read from each dict record. A ``str`` record is already
+    in the output format (CSV lines, JSON values) and is written as is; it
+    may hold several rows, joined by the format's row separator (a newline,
+    or a comma in JSON). ``lines`` is the table. ``records`` and ``lines``
+    may be generators: only the one the format needs is consumed.
+    """
     write = sys.stdout.write
     if fmt == "json":
-        if output.key is None:
-            write(_json(output.head) + "\n")
+        if key is None:
+            write(_json(head) + "\n")
             return
         texts = (
             ",".join(chunk) if isinstance(chunk[0], str) else _json(chunk)[1:-1]
-            for chunk in _chunks(output.records)
+            for chunk in _chunks(records)
         )
         # The head (an empty list under the key, cut open before its "]}") goes
         # out with the first chunk, so records that fail first leave stdout empty.
-        write(_json({**output.head, output.key: []})[:-2] + next(texts, ""))
+        write(_json({**head, key: []})[:-2] + next(texts, ""))
         for text in texts:
             write("," + text)
         write("]}\n")
         return
     if fmt == "csv":
-        columns = output.columns
-        rows = output.records if output.key is not None else [output.head]
+        rows = records if key is not None else [head]
         lines = chain(
             [",".join(columns)],
             (
@@ -184,8 +187,6 @@ def _render(output: _Output, fmt: str) -> None:
                 for row in rows
             ),
         )
-    else:
-        lines = output.lines
     for chunk in _chunks(lines):
         write("\n".join(chunk) + "\n")
 
@@ -206,7 +207,7 @@ def _run_check(args: argparse.Namespace) -> int:
         head["reason"] = report.reason
     if report.first_violation is not None:
         head["first_violation"] = report.first_violation
-    _render(_Output(head, ("sequence", "valid", "reason", "first_violation"), [line]), args.fmt)
+    _render(args.fmt, head, ("sequence", "valid", "reason", "first_violation"), [line])
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
@@ -214,7 +215,7 @@ def _run_count(args: argparse.Namespace) -> int:
     from .census import count_osequences
 
     count = count_osequences(args.n)
-    _render(_Output({"n": args.n, "L": str(count)}, ("n", "L"), [f"L({args.n}) = {count}"]), args.fmt)
+    _render(args.fmt, {"n": args.n, "L": str(count)}, ("n", "L"), [f"L({args.n}) = {count}"])
     return EXIT_OK
 
 
@@ -248,14 +249,14 @@ def _run_enumerate(args: argparse.Namespace) -> int:
 
     # The rows are already in the chosen format, so lines and records are one stream.
     sequences = rows()
-    output = _Output(
+    _render(
+        args.fmt,
         head={"n": args.n, "count": str(count)},
         columns=("sequence",),
         lines=sequences,
         key="sequences",
         records=sequences,
     )
-    _render(output, args.fmt)
     return EXIT_OK
 
 
@@ -266,14 +267,14 @@ def _run_census(args: argparse.Namespace) -> int:
     lengths = range(1, table.max_n + 1)
     n_width = len(str(table.max_n))
     width = len(str(table.records[table.max_n]))
-    output = _Output(
+    _render(
+        args.fmt,
         head={"max_n": table.max_n},
         columns=("n", "L"),
         lines=(f"L({n:>{n_width}}) = {table.records[n]:>{width}}" for n in lengths),
         key="records",
         records=({"n": n, "L": str(table.records[n])} for n in lengths),
     )
-    _render(output, args.fmt)
     return EXIT_OK
 
 
@@ -307,14 +308,14 @@ def _run_bounds(args: argparse.Namespace) -> int:
         }
         for r in rows
     )
-    output = _Output(
+    _render(
+        args.fmt,
         head={"max_n": rows[-1].n, "c1_min": report.c1_min, "c2_max": report.c2_max},
         columns=("n", "L", "p_lower", "log_upper", "c1_emp", "c2_emp"),
         lines=lines,
         key="records",
         records=records,
     )
-    _render(output, args.fmt)
     return EXIT_OK
 
 
@@ -362,14 +363,14 @@ def _run_partitions(args: argparse.Namespace) -> int:
     else:
         rest = (row(*r) for r in rows)
     texts = chain(lead, rest)
-    output = _Output(
+    _render(
+        args.fmt,
         head={"limit": table.limit, "log_space": args.log_space},
         columns=("n", "p", "q"),
         lines=texts,
         key="records",
         records=texts,
     )
-    _render(output, args.fmt)
     return EXIT_OK
 
 
@@ -414,20 +415,20 @@ def _run_remark(args: argparse.Namespace) -> int:
         "t_monotone": True,
         "alpha_monotone_within_t_plateaus": True,
     }
-    output = _Output(head, ("degree", "in_range", "t", "alpha"), lines, "decompositions", decomps)
-    _render(output, args.fmt)
+    _render(args.fmt, head, ("degree", "in_range", "t", "alpha"), lines, "decompositions", decomps)
     return EXIT_OK
 
 
-_RUNNERS = {
-    "check": _run_check,
-    "count": _run_count,
-    "enumerate": _run_enumerate,
-    "census": _run_census,
-    "bounds": _run_bounds,
-    "partitions": _run_partitions,
-    "remark": _run_remark,
-}
+def _to_devnull(stream: Any) -> None:
+    """Point a stream that failed a write at devnull: its buffer keeps what
+    failed, and the interpreter's final flush would fail on it and exit 120."""
+    try:
+        fd = stream.fileno()
+    except OSError:  # a writer in this process may have no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _fail(code: int, message: str) -> int:
@@ -435,11 +436,8 @@ def _fail(code: int, message: str) -> int:
     try:
         if sys.stderr is not None:  # closed (`2>&-`): print(file=None) would use stdout
             print(message, file=sys.stderr)
-    except OSError:  # `2>/dev/full`: the buffer keeps the line, so point fd 2 at
-        try:  # devnull, or the interpreter's final flush fails and exits 120
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
-        except OSError:  # a writer in this process may have no descriptor
-            pass
+    except OSError:  # `2>/dev/full`: the line is lost, and stays in the buffer
+        _to_devnull(sys.stderr)
     return code
 
 
@@ -454,17 +452,15 @@ def main(argv: list[str] | None = None) -> int:
                 value = getattr(args, field, None)
                 if value is not None and value < 1:
                     raise ResourceLimitError(f"--{field.replace('_', '-')} must be >= 1")
-            code = _RUNNERS[args.command](args)
+            code = args.run(args)
         except ResourceLimitError as exc:
             code = _fail(EXIT_RESOURCE, f"error: {exc}")
         except TheoremViolationError as exc:
             code = _fail(EXIT_INTERNAL, f"internal error (bug): {exc}")
         sys.stdout.flush()
     except OSError as exc:
-        # Point stdout at devnull, so the interpreter's final flush of what is
-        # still buffered cannot fail a second time.
         if sys.stdout is not None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _to_devnull(sys.stdout)
         if isinstance(exc, BrokenPipeError):  # the reader has gone (`| head`)
             return EXIT_BROKEN_PIPE
         return _fail(EXIT_RESOURCE, f"error: cannot write output: {exc.strerror}")

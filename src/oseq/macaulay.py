@@ -168,7 +168,8 @@ def _lift(a: int, d: int) -> int:
     Once the remainder r is at most the degree k, the rest of the expansion
     is r terms C(k, k), C(k-1, k-1), ..., each lifting to 1, so they are
     added as r and a <= d costs no search at all. No validation, no memo:
-    the census pass calls this once per cap.
+    the census pass calls this once per cap, and ``is_o_sequence`` once per
+    entry.
     """
     lifted, rem, k = 0, a, d
     while rem > k:
@@ -187,10 +188,11 @@ def pseudopower(a: int, d: int) -> int:
     Computed by lifting every term of the degree-d expansion of a; by
     convention the pseudopower of 0 is 0 (the expansion is empty).
 
-    The memo serves the callers that ask for the same (a, d) again and
-    again: the prefix walk ``census.precritical_prefixes``, ``is_o_sequence``
-    and ``bounds.staircase_decompose``. The census pass asks for each of its
-    caps once, so it calls the same computation, ``_lift``, directly.
+    The memo serves the callers that may ask for the same (a, d) again:
+    the prefix walk ``census.precritical_prefixes`` and
+    ``bounds.staircase_decompose``. ``is_o_sequence`` and the census pass
+    ask for each of theirs once, so they call the same computation,
+    ``_lift``, directly.
     """
     if d <= 0:
         raise ValueError(f"pseudopower needs degree d >= 1, got {d}")
@@ -222,6 +224,6 @@ def is_o_sequence(candidate: Sequence[int]) -> ValidityReport:
     if fault := _canonical_fault(entries):
         return ValidityReport(valid=False, reason=fault)
     for i in range(1, len(entries) - 1):
-        if entries[i + 1] > pseudopower(entries[i], i):
+        if entries[i + 1] > _lift(entries[i], i):
             return ValidityReport(valid=False, first_violation=i, reason=REASON_GROWTH)
     return ValidityReport(valid=True)

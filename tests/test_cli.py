@@ -38,7 +38,7 @@ from oseq.census import (
     enumerate_osequences,
     precritical_prefixes,
 )
-from oseq.cli import _Output, _render, build_parser, main
+from oseq.cli import _render, build_parser, main
 from oseq.errors import TheoremViolationError
 from oseq.macaulay import is_o_sequence
 from oseq.partitions import DEFAULT_TABLE_LIMIT, build_partition_table
@@ -228,9 +228,9 @@ def test_json_head_waits_for_the_first_record_but_not_for_a_missing_one(capsys):
         assert capsys.readouterr().out == ""  # nothing written before the first record
         yield "1"
 
-    _render(_Output({"n": 1}, (), (), key="xs", records=records()), "json")
+    _render("json", {"n": 1}, (), (), key="xs", records=records())
     assert capsys.readouterr().out == '{"n":1,"xs":[1]}\n'
-    _render(_Output({"n": 1}, (), (), key="xs", records=iter(())), "json")
+    _render("json", {"n": 1}, (), (), key="xs", records=iter(()))
     assert capsys.readouterr().out == '{"n":1,"xs":[]}\n'
 
 
@@ -491,7 +491,7 @@ def test_bug_line_precedes_the_failed_final_flush():
         "def planted(args):\n"
         "    print('1')\n"
         "    raise TheoremViolationError('planted')\n"
-        "cli._RUNNERS['count'] = planted\n"
+        "cli._run_count = planted\n"
         "sys.exit(cli.main(['count', '--n', '1']))\n"
     )
     with open("/dev/full", "wb") as full:
@@ -505,16 +505,37 @@ def test_bug_line_precedes_the_failed_final_flush():
     )
 
 
-def test_unwritable_stderr_keeps_the_bug_code(capsys, monkeypatch):
-    class FullWriter(io.StringIO):
-        def write(self, text):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+class FullWriter(io.StringIO):
+    """A writer in this process, with no descriptor, on a full disk."""
 
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_unwritable_stderr_keeps_the_bug_code(capsys, monkeypatch):
     fake = CensusTable(records={1: 1, 2: 1, 3: 1}, max_n=3)
     monkeypatch.setattr("oseq.census.build_census", lambda max_n: fake)
     monkeypatch.setattr(sys, "stderr", FullWriter())
     assert main(["bounds", "--max-n", "3"]) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_unwritable_stdout_without_a_descriptor_exits_two(monkeypatch):
+    # There is no fd 1 to point at devnull, so the write failure is only reported.
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", FullWriter())
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["check", "1"]) == 2
+    assert err.getvalue() == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_lost_stderr_lines_leave_no_descriptor_open(monkeypatch):
+    monkeypatch.setattr(sys, "stderr", FullWriter())
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        assert main(["count", "--n", "0"]) == 2
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_bounds_refuses_both_limits_before_any_pass(capsys, monkeypatch):

@@ -211,6 +211,13 @@ def test_pseudopower_adds_the_unit_tail_without_a_search(monkeypatch):
         pseudopower.cache_clear()  # no entry computed through the spy outlives it
 
 
+def test_is_o_sequence_leaves_the_pseudopower_memo_alone():
+    # It asks for each (h_i, i) once, so a memo entry would only be kept, never hit.
+    before = pseudopower.cache_info().currsize
+    assert is_o_sequence((1,) + (10_000,) * 10_000).valid
+    assert pseudopower.cache_info().currsize == before
+
+
 @given(a=st.integers(min_value=1, max_value=10**30), d=st.integers(min_value=1, max_value=60))
 def test_pseudopower_is_the_lift_of_the_expansion(a, d):
     assert pseudopower(a, d) == macaulay_expand(a, d).lift()

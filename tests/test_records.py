@@ -13,7 +13,6 @@ import pytest
 
 from oseq.bounds import BoundsRecord, BoundsReport, RemarkReport, StaircaseDecomposition
 from oseq.census import CensusTable
-from oseq.cli import _Output
 from oseq.macaulay import HVector, MacaulayExpansion, ValidityReport
 from oseq.partitions import PartitionTable
 
@@ -36,11 +35,10 @@ RECORDS = [
     ),
     (MacaulayExpansion, dict(degree=2, terms=((3, 2), (2, 1)))),
     (ValidityReport, dict(valid=False, first_violation=1, reason="growth-violation")),
-    (_Output, dict(head={"n": 1}, columns=("n",), lines=("L(1) = 1",), key=None, records=())),
 ]
 
 # Records holding a dict are unhashable, as they were as frozen dataclasses.
-UNHASHABLE = {CensusTable, _Output}
+UNHASHABLE = {CensusTable}
 
 
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
@@ -61,8 +59,6 @@ def test_record_contract(cls, fields):
 
 def test_record_defaults():
     assert ValidityReport(True) == ValidityReport(valid=True, first_violation=None, reason=None)
-    output = _Output({}, (), ())
-    assert (output.key, output.records) == (None, ())
 
 
 def test_hvector_is_immutable_and_compared_by_entries():
