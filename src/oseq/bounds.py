@@ -20,7 +20,7 @@ asserted the same way).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import TheoremViolationError
 from .macaulay import HVector, is_o_sequence, pseudopower
@@ -42,12 +42,12 @@ __all__ = [
     "remark_profile",
 ]
 
-def critical_index(h: HVector) -> int:
+def critical_index(h: HVector | Sequence[int]) -> int:
     """Smallest index i with h_i <= i, or e + 1 when no entry qualifies."""
-    for i, value in enumerate(h.entries):
+    for i, value in enumerate(h):
         if value <= i:
             return i
-    return h.top_degree + 1
+    return len(h)
 
 
 def verify_tail_partition(h: HVector) -> bool:
@@ -208,10 +208,6 @@ class RemarkReport(NamedTuple):
     critical_index: int
 
 
-class _NotAnOSequence(ValueError):
-    """``remark_profile``'s refusal of a sequence that fails ``is_o_sequence``."""
-
-
 def remark_profile(h: HVector) -> RemarkReport:
     """Decompose every pre-critical entry and assert the window lemma between degrees.
 
@@ -221,14 +217,19 @@ def remark_profile(h: HVector) -> RemarkReport:
     report = is_o_sequence(h.entries)
     if not report.valid:
         seq = ",".join(map(str, h.entries))
-        raise _NotAnOSequence(
+        raise ValueError(
             f"{seq} is not an O-sequence: {report.reason} at index {report.first_violation}"
         )
-    j = critical_index(h)
-    decomps = tuple((i, staircase_decompose(h.entries[i], i)) for i in range(1, j))
+    return _staircase_profile(h.entries)
+
+
+def _staircase_profile(entries: tuple[int, ...]) -> RemarkReport:
+    """``remark_profile`` of entries that already passed ``is_o_sequence``."""
+    j = critical_index(entries)
+    decomps = tuple((i, staircase_decompose(entries[i], i)) for i in range(1, j))
     for (_, previous), (i, current) in zip(decomps, decomps[1:]):
         if not _staircase_step_holds(previous, current):
-            seq = ",".join(map(str, h.entries))
+            seq = ",".join(map(str, entries))
             raise TheoremViolationError(
                 f"staircase window lemma failed at degree {i} of {seq}: {current} follows {previous}"
             )

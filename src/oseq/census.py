@@ -57,12 +57,6 @@ DEFAULT_STREAM_CAP = 100_000
 _Rendered = TypeVar("_Rendered")
 
 
-def _check_ceiling(n: int) -> None:
-    """Refuse a census length above ``_MAX_CENSUS_CEILING``, before any counting."""
-    if n > _MAX_CENSUS_CEILING:
-        raise ResourceLimitError(f"census length {n} exceeds the maximum {_MAX_CENSUS_CEILING}")
-
-
 class CensusCounter:
     """Counter of L(n) for every n up to the census maximum, reusable across lengths.
 
@@ -79,7 +73,8 @@ class CensusCounter:
     def count(self, n: int) -> int:
         if n < 0:
             raise ValueError(f"length must be nonnegative, got {n}")
-        _check_ceiling(n)
+        if n > _MAX_CENSUS_CEILING:
+            raise ResourceLimitError(f"census length {n} exceeds the maximum {_MAX_CENSUS_CEILING}")
         if n >= len(self._counts):
             self._counts = self._count_through(n)
         return self._counts[n]

@@ -25,9 +25,12 @@ import errno
 import os
 import sys
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .errors import ResourceLimitError, TheoremViolationError
+
+if TYPE_CHECKING:  # annotations only: the runners import macaulay when they run
+    from .macaulay import ValidityReport
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -194,7 +197,11 @@ def _render(
 def _run_check(args: argparse.Namespace) -> int:
     from .macaulay import is_o_sequence
 
-    report = is_o_sequence(args.sequence)
+    return _write_check(args, is_o_sequence(args.sequence))
+
+
+def _write_check(args: argparse.Namespace, report: ValidityReport) -> int:
+    """Write ``check``'s record of ``report``, the validity of ``args.sequence``."""
     seq = ",".join(map(str, args.sequence))
     if report.valid:
         line = f"{seq} is a valid O-sequence"
@@ -375,20 +382,15 @@ def _run_partitions(args: argparse.Namespace) -> int:
 
 
 def _run_remark(args: argparse.Namespace) -> int:
-    from .bounds import _NotAnOSequence, remark_profile
-    from .macaulay import HVector
+    from .bounds import _staircase_profile
+    from .macaulay import is_o_sequence
 
-    # A refusal, HVector's (canonical form) or remark_profile's (growth), is
-    # check's record in the chosen format; a failed window lemma is
-    # TheoremViolationError (exit 3), and any other error is not caught here.
-    try:
-        h = HVector(args.sequence)
-    except ValueError:
-        return _run_check(args)
-    try:
-        profile = remark_profile(h)
-    except _NotAnOSequence:
-        return _run_check(args)
+    # A sequence that fails the validity test gets check's record in the chosen
+    # format; a failed window lemma is TheoremViolationError (exit 3).
+    report = is_o_sequence(args.sequence)
+    if not report.valid:
+        return _write_check(args, report)
+    profile = _staircase_profile(args.sequence)
     seq = ",".join(map(str, args.sequence))
     decomps = [
         {"degree": degree, "in_range": False}

@@ -169,7 +169,7 @@ def _lift(a: int, d: int) -> int:
     is r terms C(k, k), C(k-1, k-1), ..., each lifting to 1, so they are
     added as r and a <= d costs no search at all. No validation, no memo:
     the census pass calls this once per cap, and ``is_o_sequence`` once per
-    entry.
+    rising step.
     """
     lifted, rem, k = 0, a, d
     while rem > k:
@@ -224,6 +224,7 @@ def is_o_sequence(candidate: Sequence[int]) -> ValidityReport:
     if fault := _canonical_fault(entries):
         return ValidityReport(valid=False, reason=fault)
     for i in range(1, len(entries) - 1):
-        if entries[i + 1] > _lift(entries[i], i):
+        # a^<i> >= a, so only a step that rises can break the growth condition
+        if entries[i + 1] > entries[i] and entries[i + 1] > _lift(entries[i], i):
             return ValidityReport(valid=False, first_violation=i, reason=REASON_GROWTH)
     return ValidityReport(valid=True)

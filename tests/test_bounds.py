@@ -34,6 +34,8 @@ def test_critical_index_examples():
     assert critical_index(HVector((1, 3, 2, 1))) == 2
     assert critical_index(HVector((1, 4))) == 2
     assert critical_index(HVector((1, 3, 4, 4))) == 4
+    assert critical_index((1, 3, 2, 1)) == critical_index(HVector((1, 3, 2, 1))) == 2
+    assert critical_index((1, 3, 4, 4)) == critical_index(HVector((1, 3, 4, 4))) == 4
 
 
 def test_tail_and_prefix_examples():

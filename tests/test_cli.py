@@ -679,9 +679,13 @@ def test_remark_refuses_exactly_as_check(capsys, sequence, fmt):
     assert run_cli(capsys, "remark", sequence, "--format", fmt) == checked
 
 
-def test_remark_validates_once(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    ("sequence", "code"), [("1,3,4,4", 0), ("1,1,2", 1), ("2", 1), ("1,0", 1)]
+)
+def test_remark_validates_once(capsys, monkeypatch, sequence, code):
     # One spy under both names the validity test is reached by: the CLI's
-    # import of oseq.macaulay and remark_profile's own.
+    # import of oseq.macaulay and remark_profile's own. A refusal, too, is
+    # written from the one report.
     calls = []
 
     def spy(candidate):
@@ -690,9 +694,9 @@ def test_remark_validates_once(capsys, monkeypatch):
 
     monkeypatch.setattr("oseq.macaulay.is_o_sequence", spy)
     monkeypatch.setattr("oseq.bounds.is_o_sequence", spy)
-    code, _, err = run_cli(capsys, "remark", "1,3,4,4")
-    assert (code, err) == (0, "")
-    assert calls == [(1, 3, 4, 4)]
+    got, _, err = run_cli(capsys, "remark", sequence)
+    assert (got, err) == (code, "")
+    assert calls == [tuple(map(int, sequence.split(",")))]
 
 
 def test_remark_does_not_mistake_a_bug_for_a_refusal(capsys, monkeypatch):

@@ -190,6 +190,11 @@ def test_pseudopower_monotone_in_value(a, b, d):
     assert pseudopower(a, d) <= pseudopower(b, d)
 
 
+# 1, 100, 101, ..., 10098: an O-sequence whose every step rises, so that
+# is_o_sequence lifts each entry; from degree 99 on, h_i = (i + 1) + 98.
+RISING = (1,) + tuple(range(100, 10_099))
+
+
 def test_pseudopower_adds_the_unit_tail_without_a_search(monkeypatch):
     # Once the remainder is at most the degree, every further term is C(k, k)
     # and lifts to 1. Counted in searches, not time, so the gate cannot flap.
@@ -205,7 +210,9 @@ def test_pseudopower_adds_the_unit_tail_without_a_search(monkeypatch):
     try:
         assert pseudopower(10**4, 10**4) == 10**4
         assert calls == []
-        assert is_o_sequence((1,) + (10_000,) * 10_000).valid
+        # Every step rises, so every entry is lifted, and from degree 99 on each
+        # lift is one search and then a unit tail of 98 terms.
+        assert is_o_sequence(RISING).valid
         assert len(calls) < 100_000
     finally:
         pseudopower.cache_clear()  # no entry computed through the spy outlives it
@@ -214,8 +221,26 @@ def test_pseudopower_adds_the_unit_tail_without_a_search(monkeypatch):
 def test_is_o_sequence_leaves_the_pseudopower_memo_alone():
     # It asks for each (h_i, i) once, so a memo entry would only be kept, never hit.
     before = pseudopower.cache_info().currsize
-    assert is_o_sequence((1,) + (10_000,) * 10_000).valid
+    assert is_o_sequence(RISING).valid
     assert pseudopower.cache_info().currsize == before
+
+
+@pytest.mark.parametrize(
+    ("candidate", "lifts"), [((1,) + (10**100,) * 800, 0), ((1, 3, 4, 4), 1)]
+)
+def test_is_o_sequence_lifts_only_where_a_step_rises(monkeypatch, candidate, lifts):
+    # a^<i> >= a, so a step that does not rise passes without a lift, and a
+    # long run of huge equal entries costs no big-integer search.
+    calls = []
+
+    def counted(a, d):
+        calls.append((a, d))
+        return lift(a, d)
+
+    lift = oseq.macaulay._lift
+    monkeypatch.setattr(oseq.macaulay, "_lift", counted)
+    assert is_o_sequence(candidate).valid
+    assert len(calls) == lifts
 
 
 @given(a=st.integers(min_value=1, max_value=10**30), d=st.integers(min_value=1, max_value=60))
