@@ -2,11 +2,12 @@
 
 The package exports every public name of its library modules; each module's
 ``__all__`` is the one list of them. Importing the package loads none of
-them: a module loads when it is first imported or read as
-``oseq.<module>``, and the first read of any other name (``oseq.HVector``,
-``oseq.__all__``, ``from oseq import *``, ``dir(oseq)``) loads all five and
-binds their public names here. So ``python -m oseq.cli`` and the scripts
-load only the modules they use.
+them: a submodule, ``cli`` included, loads alone when it is first imported
+(``from oseq import cli`` too) or read as ``oseq.<module>``, and the first
+read of any other name (``oseq.HVector``, ``oseq.__all__``, ``from oseq
+import *``, ``dir(oseq)``) loads all five library modules and binds their
+public names here. So ``python -m oseq.cli`` and the scripts load only the
+modules they use.
 """
 
 from importlib import import_module
@@ -17,7 +18,8 @@ _MODULES = ("bounds", "census", "errors", "macaulay", "partitions")
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    # ``from oseq import cli`` asks for the attribute before it imports the submodule.
+    if name in _MODULES or name == "cli":
         return import_module(f"{__name__}.{name}")
     if "__all__" not in globals() and (name == "__all__" or not name.startswith("__")):
         names: list[str] = []

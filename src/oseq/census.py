@@ -21,22 +21,21 @@ Horner's rule, dividing by 1 - x^j from the longest prefix length down.
 Sums stop at the limit of the pass, so a pass to N is exact for every
 n <= N.
 
-Enumeration walks the same split: each pre-critical prefix is followed by
-every partition of the rest into parts <= j. Those partitions depend only on
-(j, m), m the rest, so one call builds each such list once, checks it, keeps
-only what its caller's render function makes of it, and streams that as a
-block with every prefix that shares the key; the CLI renders each prefix
-and each tail once, by block, rather than each sequence entry by entry.
+Enumeration walks the same split, rendering as it goes (text for the CLI,
+tuples for the library): a prefix's head is its parent's plus one entry,
+and the partitions of the rest m into parts <= j are built once per (j, m),
+already rendered, and shared as a block by every prefix with that key.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import add
+from itertools import repeat
+from math import isqrt
+from operator import add, itemgetter
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import EnumerationCapError, ResourceLimitError, TheoremViolationError
-from .macaulay import HVector, _canonical_fault, _lift, pseudopower
+from .macaulay import HVector, _lift, pseudopower
 
 __all__ = [
     "DEFAULT_STREAM_CAP",
@@ -54,7 +53,7 @@ __all__ = [
 # (launch to exit, peak RSS from os.wait4; 2-CPU x86, Python 3.11.7).
 _MAX_CENSUS_CEILING = 6000
 DEFAULT_STREAM_CAP = 100_000
-_Rendered = TypeVar("_Rendered")
+_P = TypeVar("_P", str, "tuple[int, ...]")  # what the enumerate walk renders a sequence as
 
 
 class CensusCounter:
@@ -137,74 +136,76 @@ def precritical_prefixes(limit: int) -> Iterator[tuple[int, ...]]:
     children x = j + 1 .. min(pseudopower(h_{j-1}, j - 1), limit - s) with
     theirs, the bound being limit - s alone for j = 1.
     """
+    return map(itemgetter(0), _prefix_heads(limit, _one_tuple, (1,)))
+
+
+def _one_tuple(x: int) -> tuple[int]:
+    return (x,)
+
+
+def _prefix_heads(
+    limit: int, piece: Callable[[int], _P], start: _P
+) -> Iterator[tuple[_P, int, int]]:
+    """Each prefix of ``precritical_prefixes(limit)``, in order, as ``(head, j, s)``:
+    its length j, its sum s, and its head, its parent's head + ``piece(h_{j-1})``."""
     if limit < 1:
         return
-    # Explicit stack, so no depth hits the recursion limit. bounds[i] is the
-    # largest value allowed for prefix[i + 1].
-    prefix, bounds, total = [1], [], 1
-    while True:
-        yield tuple(prefix)
-        j = len(prefix)
-        room = limit - total
-        if room > j:
-            bound = min(room, pseudopower(prefix[-1], j - 1)) if j > 1 else room
-            if bound > j:
-                bounds.append(bound)
-                prefix.append(j + 1)
-                total += j + 1
-                continue
-        # Drop every entry already at its bound, then raise the deepest one left.
-        while bounds and prefix[-1] == bounds[-1]:
-            total -= prefix.pop()
-            bounds.pop()
-        if not bounds:
-            return
-        prefix[-1] += 1
-        total += 1
+    yield start, 1, 1
+    # Explicit stack, no recursion. Per prefix: its children's entries, their length, its head, sum.
+    stack = [(iter(range(2, limit)), 2, start, 1)]
+    while stack:
+        children, j, parent, total = stack[-1]
+        for x in children:
+            head = parent + piece(x)
+            s = total + x
+            yield head, j, s
+            if limit - s > j:  # x >= j, so pseudopower(x, j - 1) > j too
+                bound = min(pseudopower(x, j - 1), limit - s)
+                stack.append((iter(range(j + 1, bound + 1)), j + 1, head, s))
+                break
+        else:
+            stack.pop()
 
 
-def _tails(m: int, j: int) -> tuple[tuple[int, ...], ...]:
-    """Every partition of m into parts <= j, in ascending lexicographic order.
-
-    Each partition is a nonincreasing tuple; m = 0 has the one empty partition.
+def _tails(m: int, j: int, piece: Callable[[int], _P], end: _P) -> list[_P]:
+    """Every partition a_1 >= a_2 >= ... of m into parts <= j, in ascending lexicographic
+    order, as ``piece(a_1) + piece(a_2) + ... + end``: those with c parts j, ascending c,
+    each followed by a partition of m - c*j into parts < j. Parts <= 2 are closed-form.
     """
-    seq = [1] * m
-    tails = [tuple(seq)]
-    while seq:
-        # Successor: pop trailing entries until one can rise by 1 and stay
-        # <= its left neighbour (<= j for the first entry), raise it and
-        # refill what it leaves behind with 1s.
-        rest = seq.pop()
-        while seq and seq[-1] == (seq[-2] if len(seq) > 1 else j):
-            rest += seq.pop()
-        if not seq:
-            break
-        seq[-1] += 1
-        seq += [1] * (rest - 1)
-        tails.append(tuple(seq))
-    return tuple(tails)
+    j = min(j, m)
+    if j < 2:
+        return [piece(1) * m + end]
+    parts = list(map(piece, range(1, j + 1)))  # parts[k - 1] renders a part k
+    ones = list(map(add, map(parts[0].__mul__, range(m + 1)), repeat(end)))
+    twos = list(map(parts[1].__mul__, range(m // 2 + 1)))
+    if j == 2:  # c twos and m - 2c ones, for each c
+        return list(map(add, twos, ones[m::-2]))
+    rows: list[_P] = []
+
+    def fill(m: int, j: int, head: _P) -> None:  # head + each partition of m, 2 < j <= m
+        for rest in range(m, -1, -j):
+            if j > 3 and rest > 2:
+                fill(rest, min(j - 1, rest), head)
+            else:  # parts <= 2 are left, as for j = 2
+                rows.extend(map(head.__add__, map(add, twos, ones[rest::-2])))
+            head += parts[j - 1]
+
+    fill(m, j, end[:0])  # from an empty head
+    return rows
 
 
 def _osequence_blocks(
-    n: int, cap: int, render: Callable[[tuple[tuple[int, ...], ...]], _Rendered]
-) -> tuple[int, Iterator[tuple[tuple[int, ...], _Rendered]]]:
-    """L(n) and a stream of every O-sequence of length n as blocks ``(prefix, render(tails))``.
+    n: int, cap: int, piece: Callable[[int], _P], start: _P, end: _P
+) -> tuple[int, Iterator[tuple[_P, list[_P]]]]:
+    """L(n) and a stream of every O-sequence of length n as blocks ``(head, tails)``.
 
-    The blocks follow ``precritical_prefixes(n)``; ``tails`` lists, by
-    ``_tails``, the partitions of m = n - sum(prefix) into parts <= j =
-    len(prefix), so ``prefix + tail`` over the blocks in order, then over
-    their tails, is every O-sequence of length n in lexicographic order.
-    Each tuple of tails is built, checked and passed to ``render`` once per
-    (j, m) in one call; only the result is kept, and every prefix with that
-    key gets that same object. A piece out of canonical form
-    (``_canonical_fault``) is a bug, raised as a TheoremViolationError naming
-    it, at the cost of one ``min`` over each prefix and one over the entries
-    of each tuple of tails, in C: after a canonical prefix, a tail keeps the
-    form exactly when (1, its smallest entry) has it.
-
-    The exact count is computed first, once; if it exceeds ``cap`` the
-    stream is refused with an EnumerationCapError carrying the count, at
-    call time, before anything is iterated.
+    The heads follow ``_prefix_heads(n, piece, start)``; the tails of a prefix
+    of length j and sum s, ``_tails(n - s, j, piece, end)``, are built once per
+    (j, s) and shared by every prefix with that key. ``head + tail`` over the
+    blocks, then their tails, renders every O-sequence of length n in lexicographic
+    order. ``piece`` renders each x in 1..n once, before the walk; the walk makes
+    every entry, so one outside 1..n is a bug, raised as a TheoremViolationError.
+    A count above ``cap`` is refused at call time with an EnumerationCapError.
     """
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
@@ -214,19 +215,20 @@ def _osequence_blocks(
     if total > cap:
         raise EnumerationCapError(n=n, count=total, cap=cap)
 
-    def walk() -> Iterator[tuple[tuple[int, ...], _Rendered]]:
-        built: dict[tuple[int, int], _Rendered] = {}
-        for prefix in precritical_prefixes(n):
-            if fault := _canonical_fault(prefix):
-                raise TheoremViolationError(f"the walk to n={n} built the prefix {prefix} ({fault})")
-            key = (len(prefix), n - sum(prefix))
-            if key not in built:
-                tails = _tails(key[1], key[0])
-                if fault := _canonical_fault((1, min(chain.from_iterable(tails), default=1))):
-                    tail = next(t for t in tails if _canonical_fault((1, *t)))
-                    raise TheoremViolationError(f"the walk to n={n} built the tail {tail} ({fault})")
-                built[key] = render(tails)
-            yield prefix, built[key]
+    def walk() -> Iterator[tuple[_P, list[_P]]]:
+        # A walk to n makes only entries in 1..n, each rendered once here: the
+        # lookup of any other entry is a bug in the walk.
+        pieces = {x: piece(x) for x in range(1, n + 1)}
+        # built[s][j] are the tails of key (j, s); j(j + 1)/2 <= s, so j <= isqrt(2n).
+        built: list[list[list[_P] | None]] = [[None] * (isqrt(2 * n) + 1) for _ in range(n + 1)]
+        try:
+            for head, j, s in _prefix_heads(n, pieces.__getitem__, start):
+                tails = built[s][j]
+                if tails is None:
+                    tails = built[s][j] = _tails(n - s, j, pieces.__getitem__, end)
+                yield head, tails
+        except KeyError as bad:  # str(bad) is the entry
+            raise TheoremViolationError(f"the walk to n={n} built the entry {bad}") from None
 
     return total, walk()
 
@@ -239,15 +241,13 @@ def enumerate_osequences(n: int, cap: int = DEFAULT_STREAM_CAP) -> Iterator[HVec
 
     Every O-sequence is a pre-critical prefix of some length j and sum s
     followed by a partition of n - s into parts <= j, because x^<d> = x
-    once x <= d. So the stream walks ``precritical_prefixes(n)`` and, at
-    each prefix, yields the prefix followed by every such partition in
-    ascending lexicographic order before moving on to the prefix's
-    children, whose next entry exceeds j. That is plain lexicographic
-    order over the whole stream: the flattening of ``_osequence_blocks``,
-    each tuple of tails kept as built and shared by every prefix of its key.
+    once x <= d. So the stream walks ``precritical_prefixes(n)`` and yields
+    each prefix followed by every such partition in ascending lexicographic
+    order before its children, whose next entry exceeds j: the blocks of
+    ``_osequence_blocks`` with one-tuples as pieces, flattened.
     """
-    _, blocks = _osequence_blocks(n, cap, lambda tails: tails)
-    return (HVector(prefix + tail) for prefix, tails in blocks for tail in tails)
+    _, blocks = _osequence_blocks(n, cap, _one_tuple, (1,), ())
+    return (HVector(head + tail) for head, tails in blocks for tail in tails)
 
 
 class CensusTable(NamedTuple):

@@ -8,8 +8,8 @@ lists in chunks. Exit codes: 0 success; 1 invalid input sequence (``check``,
 and ``remark``, which then prints what ``check`` prints); 2 resource-limit
 refusal, bad usage, or output that cannot be written (a full disk, or stdout
 closed by the caller with ``>&-``: one ``error: cannot write output:`` line);
-3 theorem-backed invariant violation, such as a failed bound or a
-non-canonical piece built by the enumerate walk (always a bug); 141 stdout
+3 theorem-backed invariant violation, such as a failed bound or an entry
+outside 1..n built by the enumerate walk (always a bug); 141 stdout
 closed by its reader before the output ended (``| head``), with nothing on
 stderr. A closed or unwritable stderr loses its line, never the exit code.
 ``census``, ``macaulay``, ``bounds``, ``partitions`` and ``json`` are
@@ -236,26 +236,13 @@ def _run_enumerate(args: argparse.Namespace) -> int:
     cap = DEFAULT_STREAM_CAP if args.cap is None else args.cap
     opening, separator, closing = _SEQUENCE_ROW[args.fmt]
     joiner = "," if args.fmt == "json" else "\n"  # between rows, as _render joins records
-
-    def tail_texts(tails: tuple[tuple[int, ...], ...]) -> list[str]:
-        # Each tail's text, with its leading separator and the closing bracket.
-        return ["".join(map(part.__getitem__, tail)) + closing for tail in tails]
-
-    count, blocks = _osequence_blocks(args.n, cap, tail_texts)
-    # No entry exceeds n, so each entry's text, bare and after the separator, is
-    # looked up in a table and every join runs in C, with no str() per entry.
-    # The tables are made only after the walk's census-maximum and cap refusals.
-    entry = [str(x) for x in range(args.n + 1)]
-    part = [separator + text for text in entry]
-
-    def rows() -> Iterator[str]:
-        # One string per block: the prefix's text, made once, before each of its tails'.
-        for prefix, texts in blocks:
-            head = opening + separator.join(map(entry.__getitem__, prefix))
-            yield head + (joiner + head).join(texts)
-
+    # Each entry after h_0 is rendered once per run, after its separator.
+    count, blocks = _osequence_blocks(
+        args.n, cap, lambda x: separator + str(x), opening + "1", closing
+    )
+    # One string per block: the prefix's text before each of its tails'.
+    sequences = (head + (joiner + head).join(tails) for head, tails in blocks)
     # The rows are already in the chosen format, so lines and records are one stream.
-    sequences = rows()
     _render(
         args.fmt,
         head={"n": args.n, "count": str(count)},

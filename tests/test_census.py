@@ -25,6 +25,7 @@ from oseq.census import (
     CensusCounter,
     CensusTable,
     _fold_tails,
+    _one_tuple,
     _osequence_blocks,
     _tails,
     build_census,
@@ -32,7 +33,7 @@ from oseq.census import (
     enumerate_osequences,
     precritical_prefixes,
 )
-from oseq.cli import main
+from oseq.cli import _SEQUENCE_ROW, main
 from oseq.errors import EnumerationCapError, ResourceLimitError, TheoremViolationError
 from oseq.macaulay import HVector, is_o_sequence, pseudopower
 from oseq.partitions import build_partition_table
@@ -357,95 +358,131 @@ def test_tails_are_the_bounded_partitions_in_lex_order():
                 for m in range(sum(big), limit + 1):
                     oracle[m].append(big + (1,) * (m - sum(big)))
         for m in range(limit + 1):
-            assert list(_tails(m, j)) == sorted(oracle[m]), (m, j)
-    assert _tails(0, 3) == ((),)
-    assert _tails(5, 1) == ((1, 1, 1, 1, 1),)
-    assert _tails(3, 7) == ((1, 1, 1), (2, 1), (3,))
+            assert _tails(m, j, _one_tuple, ()) == sorted(oracle[m]), (m, j)
+    assert _tails(0, 3, _one_tuple, ()) == [()]
+    assert _tails(5, 1, _one_tuple, ()) == [(1, 1, 1, 1, 1)]
+    assert _tails(3, 7, _one_tuple, ()) == [(1, 1, 1), (2, 1), (3,)]
+
+
+@pytest.mark.parametrize("fmt", list(_SEQUENCE_ROW))
+def test_tails_in_text_pieces_render_the_tuple_tails(fmt):
+    # The CLI's pieces: each part after its separator, and the closing bracket.
+    _, separator, closing = _SEQUENCE_ROW[fmt]
+    for m in range(21):
+        for j in range(1, 9):
+            texts = _tails(m, j, lambda x: separator + str(x), closing)
+            tuples = _tails(m, j, _one_tuple, ())
+            assert texts == ["".join(separator + str(x) for x in t) + closing for t in tuples], (m, j)
+
+
+def bad_entry_plants():
+    """Walks and tail builders that render one entry below 1, as a bug would.
+
+    Each maps to (name, fake, sequence, entry): the fake replaces
+    ``oseq.census.<name>``, ``sequence`` is the bad sequence it renders
+    first, and ``entry`` its bad entry. As an index into a list of entry
+    texts, -1 would silently read the last one.
+    """
+
+    def pushed(limit, piece, start):
+        yield start + piece(0), 2, 1
+
+    def raised(limit, piece, start):
+        yield start, 1, 1
+        yield start + piece(2), 2, 3
+        yield start + piece(-1), 2, 0
+
+    return {
+        "pushed prefix entry": ("_prefix_heads", pushed, (1, 0), 0),
+        "raised prefix entry": ("_prefix_heads", raised, (1, -1), -1),
+        "first tail part": ("_tails", lambda m, j, piece, end: [piece(0) * m + end], (1, 0), 0),
+        "later tail part": (
+            "_tails",
+            lambda m, j, piece, end: [piece(1) * m + end, piece(2) + piece(-1) + end],
+            (1, 2, -1),
+            -1,
+        ),
+    }
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-@pytest.mark.parametrize(
-    "plant, message",
-    [
-        ("precritical_prefixes", "h_0 must be 1, got 2"),
-        ("_tails", "all entries must be positive"),
-        ("zero prefix entry after h_0", "all entries must be positive"),
-        ("zero inside a later tail", "all entries must be positive"),
-    ],
-)
-def test_enumerate_checks_each_piece_on_the_cli_path(capsys, monkeypatch, plant, message, fmt):
-    # A bad prefix, or a bad tail, reaches no output in any format, not even
-    # the json head: the block walk checks the canonical form of each piece,
-    # which the CLI path does not redo. The walk builds every piece, so a bad
-    # one is a bug: `main` exits 3 and names it. ``message`` is what HVector
-    # raises for the bad sequence. The last two plants pass a test of h_0, or
-    # of a tuple's first or last entries, alone.
-    target, bad, sequence, piece = {
-        "precritical_prefixes": (
-            "precritical_prefixes", lambda limit: iter([(2, 3)]), (2, 3), "prefix (2, 3) (bad-h0)"
-        ),
-        "_tails": (
-            "_tails", lambda m, j: ((0,) * m,), (1, 0, 0, 0, 0), "tail (0, 0, 0, 0) (zero-entry)"
-        ),
-        "zero prefix entry after h_0": (
-            "precritical_prefixes",
-            lambda limit: iter([(1, 0, 4)]),
-            (1, 0, 4),
-            "prefix (1, 0, 4) (zero-entry)",
-        ),
-        "zero inside a later tail": (
-            "_tails", lambda m, j: ((1,) * m, (2, 0, 1)), (1, 2, 0, 1), "tail (2, 0, 1) (zero-entry)"
-        ),
-    }[plant]
-    with pytest.raises(ValueError) as direct:
+@pytest.mark.parametrize("plant", list(bad_entry_plants()))
+def test_enumerate_checks_each_piece_on_the_cli_path(capsys, monkeypatch, plant, fmt):
+    # A bad prefix entry, or a bad tail part, reaches no output in any format,
+    # not even the json head: the block walk renders each entry by its lookup
+    # in a table of 1..n, which the CLI path does not redo. The walk makes
+    # every entry, so a bad one is a bug: `main` exits 3 and names it.
+    target, fake, sequence, entry = bad_entry_plants()[plant]
+    with pytest.raises(ValueError, match="all entries must be positive"):
         HVector(sequence)
-    assert str(direct.value) == message
-    monkeypatch.setattr(f"oseq.census.{target}", bad)
+    monkeypatch.setattr(f"oseq.census.{target}", fake)
     assert main(["enumerate", "--n", "5", "--format", fmt]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"internal error (bug): the walk to n=5 built the {piece}\n"
+    assert captured.err == f"internal error (bug): the walk to n=5 built the entry {entry}\n"
 
 
-class RenderSpy:
-    """A render function that records each tuple of tails it gets and returns a fresh object."""
+class BuilderSpy:
+    """Wraps the tail builder: records each key it is called with and the list it returns."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.calls = []
+        self.build = oseq.census._tails
+        monkeypatch.setattr(oseq.census, "_tails", self)
 
-    def __call__(self, tails):
-        rendered = object()
-        self.calls.append((tails, rendered))
-        return rendered
+    def __call__(self, m, j, piece, end):
+        tails = self.build(m, j, piece, end)
+        self.calls.append(((j, m), tails))
+        return tails
 
 
-def test_enumerate_walk_renders_each_key_once():
-    # The walk keeps one rendered object per (j, m): render sees each key's
-    # tails once, and every prefix with that key gets the very object it made.
+def test_enumerate_walk_builds_each_key_once(monkeypatch):
+    # The walk keeps one list of tails per (j, m): the builder sees each key
+    # once, and every prefix with that key gets the very list it returned.
     n = 20
-    spy = RenderSpy()
-    count, blocks = _osequence_blocks(n, count_osequences(n), spy)
+    spy = BuilderSpy(monkeypatch)
+    count, blocks = _osequence_blocks(n, count_osequences(n), _one_tuple, (1,), ())
     blocks = list(blocks)
-    assert [prefix for prefix, _ in blocks] == list(precritical_prefixes(n))
-    keys = [(len(prefix), n - sum(prefix)) for prefix, _ in blocks]
-    assert len(spy.calls) == len(set(keys)) < len(keys)
-    made = {}
-    for key, (_, rendered) in zip(keys, blocks):
-        if key not in made:  # render is called in the order the keys first come
-            made[key] = spy.calls[len(made)]
-        tails, first = made[key]
-        assert tails == _tails(key[1], key[0])
-        assert rendered is first
-    assert sum(len(made[key][0]) for key in keys) == count
+    assert [head for head, _ in blocks] == list(precritical_prefixes(n))
+    keys = [(len(head), n - sum(head)) for head, _ in blocks]
+    assert [key for key, _ in spy.calls] == list(dict.fromkeys(keys))
+    assert len(spy.calls) < len(keys)
+    made = dict(spy.calls)
+    for key, (_, tails) in zip(keys, blocks):
+        assert tails is made[key]
+        assert tails == spy.build(key[1], key[0], _one_tuple, ())
+    assert sum(len(tails) for _, tails in blocks) == count
 
 
-def test_enumerate_walk_renders_no_tails_that_fail_the_check(monkeypatch):
-    spy = RenderSpy()
-    monkeypatch.setattr("oseq.census._tails", lambda m, j: ((0,) * m,))
-    _, blocks = _osequence_blocks(5, 5, spy)
-    with pytest.raises(TheoremViolationError, match=r"tail \(0, 0, 0, 0\) \(zero-entry\)"):
-        list(blocks)
-    assert spy.calls == []
+def test_enumerate_walk_yields_no_tails_that_fail_the_check(monkeypatch):
+    # The builder renders a bad part for the second key, (2, 2): the first
+    # block comes out, and no list is made or yielded for the bad key.
+    spy = BuilderSpy(monkeypatch)
+    build = spy.build
+    spy.build = lambda m, j, piece, end: build(m, j, piece, end) if j == 1 else [piece(0) + end]
+    _, blocks = _osequence_blocks(5, 5, _one_tuple, (1,), ())
+    seen = []
+    with pytest.raises(TheoremViolationError, match=r"^the walk to n=5 built the entry 0$"):
+        seen.extend(blocks)
+    assert seen == [((1,), [(1, 1, 1, 1)])]
+    assert spy.calls == [((1, 4), [(1, 1, 1, 1)])]
+
+
+def test_enumerate_text_stream_memory_is_bounded(monkeypatch):
+    # The first 4 blocks of the n = 200 stream, in the CLI's table pieces,
+    # with the census pass patched out as in the recursion-depth test. Their
+    # largest key, (4, 190), has 51 488 tails, kept in text only: about 14 MiB
+    # traced, against 55 MiB while each key's tuples were built first.
+    monkeypatch.setattr(CensusCounter, "count", lambda self, n: 1)
+    part = ["," + str(x) for x in range(201)]
+    tracemalloc.start()
+    try:
+        _, blocks = _osequence_blocks(200, 1, part.__getitem__, "1", "")
+        assert len(list(itertools.islice(blocks, 4))) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 def test_enumerate_refuses_above_the_census_maximum_before_any_table(capsys):
@@ -468,7 +505,8 @@ def test_enumerate_walk_bug_exits_three_without_a_traceback():
     # The same planted prefix, in a child process run as `python -m oseq.cli`.
     plant = (
         "import runpy, sys, oseq.census; "
-        "oseq.census.precritical_prefixes = lambda limit: iter([(2, 3)]); "
+        "oseq.census._prefix_heads = "
+        "lambda limit, piece, start: ((start + piece(x), 2, 1) for x in [0]); "
         "sys.argv = ['oseq', 'enumerate', '--n', '5']; "
         "runpy.run_module('oseq.cli', run_name='__main__', alter_sys=True)"
     )
@@ -476,8 +514,7 @@ def test_enumerate_walk_bug_exits_three_without_a_traceback():
     done = subprocess.run([sys.executable, "-c", plant], env=env, capture_output=True, text=True)
     assert done.returncode == 3
     assert done.stdout == ""
-    assert done.stderr.startswith("internal error (bug): ")
-    assert "Traceback" not in done.stderr
+    assert done.stderr == "internal error (bug): the walk to n=5 built the entry 0\n"
 
 
 def test_count_monotone_in_total(census_table):

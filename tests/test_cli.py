@@ -34,6 +34,7 @@ from oseq.census import (
     _MAX_CENSUS_CEILING,
     CensusCounter,
     CensusTable,
+    _one_tuple,
     _tails,
     enumerate_osequences,
     precritical_prefixes,
@@ -155,12 +156,12 @@ def test_enumerate_streams_before_the_last_sequence(monkeypatch):
     total = 10_000
     pulled = []
 
-    def many(n, cap, render):
+    def many(n, cap, piece, start, end):
         def blocks():
-            texts = render(((),))
+            head, tails = start + piece(n - 1), [end]
             for i in range(total):
                 pulled.append(i)
-                yield (1, n - 1), texts
+                yield head, tails
 
         return total, blocks()
 
@@ -196,19 +197,23 @@ def test_enumerate_blocks_survive_chunk_boundaries(capsys, monkeypatch, fmt):
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_enumerate_row_text_matches_str_per_entry(capsys, monkeypatch, fmt):
     # Every prefix to 20, and every tail of _tails(m, j) for m <= 20 and
-    # j <= 8 (the empty tail included), rendered as one block each, must
-    # read as str() of every entry would write it.
+    # j <= 8 (the empty tail included), rendered as one block each from the
+    # pieces the CLI passes, must read as str() of every entry would write it.
     opening, separator, closing = {
         "table": ("", ",", ""), "csv": ("", " ", ""), "json": ("[", ",", "]")
     }[fmt]
     prefixes = list(precritical_prefixes(20))
-    tuples = [_tails(m, j) for m in range(21) for j in range(1, 9)]
-    blocks = [(prefix, ((),)) for prefix in prefixes] + [((1,), tails) for tails in tuples]
+    tuples = [_tails(m, j, _one_tuple, ()) for m in range(21) for j in range(1, 9)]
+    blocks = [(prefix, [()]) for prefix in prefixes] + [((1,), tails) for tails in tuples]
     count = sum(len(tails) for _, tails in blocks)
-    monkeypatch.setattr(
-        "oseq.census._osequence_blocks",
-        lambda n, cap, render: (count, ((prefix, render(tails)) for prefix, tails in blocks)),
-    )
+
+    def rendered(n, cap, piece, start, end):
+        def text(entries):
+            return "".join(map(piece, entries))
+
+        return count, ((start + text(p[1:]), [text(t) + end for t in tails]) for p, tails in blocks)
+
+    monkeypatch.setattr("oseq.census._osequence_blocks", rendered)
     code, out, err = run_cli(capsys, "enumerate", "--n", "20", "--format", fmt)
     assert (code, err) == (0, "")
     rows = [
@@ -978,6 +983,14 @@ def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
 def test_importing_the_package_loads_no_module():
     done = run_python("import oseq, sys; print(sorted(m for m in sys.modules if m.startswith('oseq.')))")
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
+def test_importing_the_cli_from_the_package_loads_only_what_it_imports():
+    # The import system reads oseq.cli before it loads the submodule, which
+    # must not load every library module to bind the public names.
+    code = "from oseq import cli; import sys; print(sorted(m for m in sys.modules if m.startswith('oseq.')))"
+    done = run_python(code)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "['oseq.cli', 'oseq.errors']\n")
 
 
 def loaded_after(job: str, *argv: str) -> str:
