@@ -20,10 +20,11 @@ asserted the same way).
 from __future__ import annotations
 
 import math
+from math import isqrt
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import TheoremViolationError
-from .macaulay import HVector, is_o_sequence, pseudopower
+from .macaulay import HVector, is_o_sequence
 
 if TYPE_CHECKING:  # annotations only: importing bounds does not load partitions
     from .census import CensusTable
@@ -119,7 +120,7 @@ def build_bounds_report(census: CensusTable, partitions: PartitionTable) -> Boun
             raise TheoremViolationError(
                 f"lower bound p(n-1) <= count failed at n={n}: {lower} > {count}"
             )
-        j_max = math.isqrt(2 * n - 1)  # the largest j with j^2 < 2n
+        j_max = isqrt(2 * n - 1)  # the largest j with j^2 < 2n
         upper = j_max * n ** (j_max - 1) * p_n
         if count > upper:
             raise TheoremViolationError(
@@ -159,16 +160,16 @@ def _staircase_sum(degree: int, t: int) -> int:
 def staircase_decompose(value: int, degree: int) -> StaircaseDecomposition | None:
     """The staircase decomposition of one entry, or None when out of range.
 
-    In the window the degree-d expansion of value is t + 1 terms C(k+1, k)
-    and then alpha terms C(k, k). The lift makes each C(k+1, k) one more and
-    leaves each C(k, k) at 1, so value^<degree> = value + t + 1. Above the
-    window the first lifted term alone adds degree + 2, so t is out of range.
+    In the window d < v < C(d+2, 2), t is the largest t <= d - 1 with
+    S(d, t) <= v. Solving that quadratic with the ceiling of its root gives
+    t with no search, and v^<d> = v + t + 1: the expansion is t + 1 terms
+    C(k+1, k), each lifting one higher, and alpha terms C(k, k).
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    if value <= degree:
+    if not degree < value < (degree + 1) * (degree + 2) // 2:
         return None
-    t = pseudopower(value, degree) - value - 1
+    t = (2 * degree - isqrt((2 * degree + 3) ** 2 - 8 * value - 1)) // 2
     alpha = value - _staircase_sum(degree, t)
     if not (0 <= t <= degree - 1 and 0 <= alpha < degree - t):
         return None

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import re
 import sys
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
@@ -48,13 +49,29 @@ EXIT_BROKEN_PIPE = 141  # as a shell reports a death by SIGPIPE (128 + 13)
 _CHUNK = 256
 
 
+# An integer literal as int() reads one in base 10, without the whitespace.
+_INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
 def _parse_sequence(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated integer sequence, got {text!r}"
-        )
+    entries = []
+    for i, part in enumerate(text.split(",")):
+        try:
+            entries.append(int(part))
+        except ValueError:
+            # A well-formed literal that int() refuses is over the digit limit,
+            # which guards against quadratic-time conversion: name the entry,
+            # and do not echo an argument that may be kilobytes long.
+            if _INT_LITERAL.fullmatch(part.strip()):
+                digits = sum(map(str.isdecimal, part))
+                raise argparse.ArgumentTypeError(
+                    f"h_{i} has {digits} digits, over Python's limit of "
+                    f"{sys.get_int_max_str_digits()} for integer string conversion"
+                )
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated integer sequence, got {text!r}"
+            )
+    return tuple(entries)
 
 
 def build_parser() -> argparse.ArgumentParser:

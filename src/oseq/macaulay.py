@@ -162,17 +162,18 @@ def macaulay_expand(a: int, d: int) -> MacaulayExpansion:
     return MacaulayExpansion(degree=d, terms=tuple(terms))
 
 
-def _lift(a: int, d: int) -> int:
-    """a^<d> for a >= 0 and d >= 1, the value of ``macaulay_expand(a, d).lift()``.
+def _lift(a: int, d: int, enough: int | None = None) -> int:
+    """a^<d> for a >= 0 and d >= 1, exact below ``enough`` when that is given.
 
-    Once the remainder r is at most the degree k, the rest of the expansion
-    is r terms C(k, k), C(k-1, k-1), ..., each lifting to 1, so they are
-    added as r and a <= d costs no search at all. No validation, no memo:
-    the census pass calls this once per cap, and ``is_o_sequence`` once per
-    rising step.
+    Once the remainder r is at most the degree k, the rest is r terms C(k, k)
+    lifting to 1 each, so r is added with no search. Every term lifts to at
+    least itself (C(m+1, k+1) >= C(m, k) for m >= k), so the loop stops once
+    lifted + r reaches ``enough``: the result is exact when a^<d> < enough,
+    else in [enough, a^<d>]. No validation, no memo: the census pass asks for
+    each exact cap once, and ``is_o_sequence`` one bounded lift per step.
     """
     lifted, rem, k = 0, a, d
-    while rem > k:
+    while rem > k and (enough is None or lifted + rem < enough):
         m = _largest_top_index(rem, k)
         lifted += math.comb(m + 1, k + 1)
         rem -= math.comb(m, k)
@@ -188,11 +189,10 @@ def pseudopower(a: int, d: int) -> int:
     Computed by lifting every term of the degree-d expansion of a; by
     convention the pseudopower of 0 is 0 (the expansion is empty).
 
-    The memo serves the callers that may ask for the same (a, d) again:
-    the prefix walk ``census.precritical_prefixes`` and
-    ``bounds.staircase_decompose``. ``is_o_sequence`` and the census pass
-    ask for each of theirs once, so they call the same computation,
-    ``_lift``, directly.
+    The memo serves the one internal caller that asks for the same (a, d)
+    again: the prefix walk ``census.precritical_prefixes``. The census pass
+    and ``is_o_sequence`` call the same computation, ``_lift``, directly,
+    and ``bounds.staircase_decompose`` needs no lift.
     """
     if d <= 0:
         raise ValueError(f"pseudopower needs degree d >= 1, got {d}")
@@ -218,13 +218,13 @@ def is_o_sequence(candidate: Sequence[int]) -> ValidityReport:
 
     Valid means: nonempty, h_0 = 1, every entry >= 1, and the growth
     condition h_{i+1} <= pseudopower(h_i, i) holds for 1 <= i <= e - 1.
-    All failures are reported, never raised.
+    All failures are reported, never raised. Each step lifts h_i only until
+    the lift reaches h_{i+1}, so a step that does not rise costs no search.
     """
     entries = list(candidate)
     if fault := _canonical_fault(entries):
         return ValidityReport(valid=False, reason=fault)
     for i in range(1, len(entries) - 1):
-        # a^<i> >= a, so only a step that rises can break the growth condition
-        if entries[i + 1] > entries[i] and entries[i + 1] > _lift(entries[i], i):
+        if entries[i + 1] > _lift(entries[i], i, entries[i + 1]):
             return ValidityReport(valid=False, first_violation=i, reason=REASON_GROWTH)
     return ValidityReport(valid=True)

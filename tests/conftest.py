@@ -12,6 +12,7 @@ import pathlib
 
 import pytest
 
+import oseq.macaulay
 from oseq.census import CensusCounter, build_census
 from oseq.macaulay import is_o_sequence
 from oseq.partitions import build_partition_table
@@ -56,6 +57,20 @@ def filtered_compositions():
         n: sorted((1, *tail) for tail in compositions(n - 1) if is_o_sequence((1, *tail)).valid)
         for n in range(1, 13)
     }
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every Macaulay search made during the test, as a list of (value, k)."""
+    calls = []
+    largest_top_index = oseq.macaulay._largest_top_index
+
+    def counted(value, k):
+        calls.append((value, k))
+        return largest_top_index(value, k)
+
+    monkeypatch.setattr(oseq.macaulay, "_largest_top_index", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -154,17 +154,31 @@ def test_staircase_step_holds_examples():
     [
         ("_staircase_sum", lambda degree, t: _staircase_sum(degree, t) + 1),
         ("_staircase_sum", lambda degree, t: _staircase_sum(degree, t) - 1),
-        ("pseudopower", lambda value, degree: pseudopower(value, degree) - 1),
-        ("pseudopower", lambda value, degree: pseudopower(value, degree) + 1),
+        ("isqrt", lambda n: math.isqrt(n) + 1),
+        ("isqrt", lambda n: math.isqrt(n) - 1),
+        ("isqrt", lambda n: math.isqrt(n) + 2),
+        ("isqrt", lambda n: math.isqrt(n) - 2),
     ],
-    ids=["sum+1", "sum-1", "t-rule-value-2", "t-rule-value"],
+    ids=["sum+1", "sum-1", "isqrt+1", "isqrt-1", "isqrt+2", "isqrt-2"],
 )
 def test_window_lemma_check_catches_an_off_by_one(monkeypatch, name, mutant):
-    # the pseudopower mutants move t = x^<d> - x - 1 inside staircase_decompose
-    # only; the check reads the true x^<i> for its range of y
+    # the isqrt mutants move t in staircase_decompose's closed form only; the
+    # check reads the true x^<i> for its range of y
     monkeypatch.setattr(oseq.bounds, name, mutant)
     with pytest.raises(AssertionError):
         window_lemma_pairs(25)
+
+
+def test_staircase_closed_form_is_the_largest_t_below_the_value():
+    # t is the largest t <= d - 1 with S(d, t) <= v, found here by a linear search
+    for degree in range(1, 61):
+        for value in range(degree + 1, (degree + 1) * (degree + 2) // 2):
+            t = max(t for t in range(degree) if _staircase_sum(degree, t) <= value)
+            expected = StaircaseDecomposition(degree, t, value - _staircase_sum(degree, t))
+            assert staircase_decompose(value, degree) == expected, (value, degree)
+        assert staircase_decompose(degree, degree) is None
+        assert staircase_decompose((degree + 1) * (degree + 2) // 2, degree) is None
+    assert staircase_decompose(10**100, 10**6) is None
 
 
 def test_remark_profile_worked_example():
@@ -182,6 +196,21 @@ def test_remark_profile_refuses_a_non_o_sequence():
     with pytest.raises(ValueError) as excinfo:
         remark_profile(HVector((1, 3, 3, 10)))
     assert str(excinfo.value) == "1,3,3,10 is not an O-sequence: growth-violation at index 2"
+
+
+@pytest.mark.parametrize(
+    ("entries", "most"),
+    [(tuple(10**100 + i for i in range(400)), 400), ((10**100,) * 400, 0)],
+    ids=["rising", "flat"],
+)
+def test_remark_profile_on_huge_entries_searches_at_most_once_per_step(searches, entries, most):
+    # The staircase is a closed form that returns None above its window, and
+    # the growth test's bounded lift stops after one search on a rising step
+    # and before any on a flat one.
+    report = remark_profile(HVector((1,) + entries))
+    assert report.critical_index == 401
+    assert report.first_applicable_degree is None
+    assert len(searches) <= most
 
 
 def test_remark_profile_empty_window():

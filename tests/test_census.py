@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import pathlib
 import re
@@ -57,6 +58,20 @@ def test_counter_agrees_with_brute_force(census_counter, filtered_compositions):
         assert census_counter.count(n) == len(filtered_compositions[n]), n
 
 
+@functools.cache
+def linear_lift(a: int, d: int) -> int:
+    """a^<d> by the greedy expansion, each top index found by a linear search."""
+    total = 0
+    while a:
+        m = d
+        while math.comb(m + 1, d) <= a:
+            m += 1
+        a -= math.comb(m, d)
+        total += math.comb(m + 1, d + 1)
+        d -= 1
+    return total
+
+
 def test_prefix_tail_oracle_through_60(census_table):
     # Every O-sequence splits at its critical index j into a prefix
     # (1, h_1, ..., h_{j-1}) with h_i > i and a tail that is any partition of
@@ -64,25 +79,12 @@ def test_prefix_tail_oracle_through_60(census_table):
     # L(n) = sum over prefixes with entry sum s of P(n - s, parts <= j).
     # This shares no code with the census or Macaulay modules.
     limit = census_table.max_n
-
-    @functools.cache
-    def pseudopower(a: int, d: int) -> int:
-        total = 0
-        while a:
-            m = d
-            while math.comb(m + 1, d) <= a:
-                m += 1
-            a -= math.comb(m, d)
-            total += math.comb(m + 1, d + 1)
-            d -= 1
-        return total
-
     prefixes: Counter[tuple[int, int]] = Counter()  # (s, j) -> number of prefixes
     stack = [(1, 0, 1)]  # (entry sum, top degree k, h_k) of a prefix
     while stack:
         s, k, last = stack.pop()
         prefixes[s, k + 1] += 1
-        top = limit - s if k == 0 else min(limit - s, pseudopower(last, k))
+        top = limit - s if k == 0 else min(limit - s, linear_lift(last, k))
         stack.extend((s + h, k + 1, h) for h in range(k + 2, top + 1))
 
     max_j = max(j for _, j in prefixes)
@@ -201,6 +203,41 @@ def test_census_goldens_through_300(census_to_2000):
     assert census_to_2000.records[2000] == (
         1214559288682243409115349935196359212780994640503288898009
     )
+
+
+def growth_layer_oracle(limit: int) -> list[int]:
+    """L(0..limit) by the growth condition at every degree, tail included.
+
+    Layer i maps each last entry h = h_i to its row: row[s] counts the
+    sequences (1, h_1, ..., h_i) with entry sum s. The caps h^<i> do not
+    fall as h rises, so walking the entries from the largest down, the next
+    entries y in (cap of the next smaller entry, cap of h] follow exactly
+    the entries >= h, and take the sum of their rows shifted right by y.
+    Unlike the census pass, this assumes nothing about a free tail.
+    """
+    counts = [0] * (limit + 1)
+    counts[1] = 1  # the sequence (1)
+    layer = {h: [0] * (1 + h) + [1] + [0] * (limit - 1 - h) for h in range(1, limit)}
+    degree = 1
+    while layer:
+        following: dict[int, list[int]] = {}
+        above = [0] * (limit + 1)  # the sum of the rows of the entries >= h
+        present = sorted(layer, reverse=True)
+        for h, smaller in itertools.zip_longest(present, present[1:]):
+            above = list(map(operator.add, above, layer[h]))
+            first = next(s for s, ways in enumerate(above) if ways)
+            low = linear_lift(smaller, degree) if smaller else 0
+            for y in range(low + 1, min(linear_lift(h, degree), limit - first) + 1):
+                following[y] = [0] * y + above[: limit + 1 - y]
+        counts = list(map(operator.add, counts, above))  # every row of the layer
+        layer = following
+        degree += 1
+    return counts
+
+
+def test_growth_layer_oracle_through_600(census_to_2000):
+    # Checks the free-tail theorem and the census pass together: no split.
+    assert growth_layer_oracle(600)[1:] == [census_to_2000.records[n] for n in range(1, 601)]
 
 
 def test_pass_prunes_against_its_own_limit(census_to_2000):

@@ -132,7 +132,27 @@ def test_check_rejects_unparsable_sequence(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["check", "1,x,3"])
     assert excinfo.value.code == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "oseq check: error: argument sequence: "
+        "expected a comma-separated integer sequence, got '1,x,3'"
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "remark"])
+def test_an_entry_over_the_digit_limit_is_named_not_echoed(capsys, command):
+    # int() refuses a literal longer than sys.get_int_max_str_digits(); the
+    # refusal names that limit and the entry instead of echoing the argument.
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "1,3," + "9" * (limit + 1)])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"oseq {command}: error: argument sequence: h_2 has {limit + 1} digits, "
+        f"over Python's limit of {limit} for integer string conversion"
+    )
+    assert len(err) < 200
 
 
 def test_enumerate_json(capsys, schema_dir):

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import oseq.macaulay
 from oseq.macaulay import (
     REASON_BAD_H0,
     REASON_GROWTH,
@@ -23,6 +22,7 @@ from oseq.macaulay import (
     HVector,
     MacaulayExpansion,
     _canonical_fault,
+    _lift,
     is_o_sequence,
     macaulay_expand,
     pseudopower,
@@ -191,29 +191,21 @@ def test_pseudopower_monotone_in_value(a, b, d):
 
 
 # 1, 100, 101, ..., 10098: an O-sequence whose every step rises, so that
-# is_o_sequence lifts each entry; from degree 99 on, h_i = (i + 1) + 98.
+# is_o_sequence searches at each entry; from degree 99 on, h_i = (i + 1) + 98.
 RISING = (1,) + tuple(range(100, 10_099))
 
 
-def test_pseudopower_adds_the_unit_tail_without_a_search(monkeypatch):
+def test_pseudopower_adds_the_unit_tail_without_a_search(searches):
     # Once the remainder is at most the degree, every further term is C(k, k)
     # and lifts to 1. Counted in searches, not time, so the gate cannot flap.
-    calls = []
-
-    def counted(value, k):
-        calls.append((value, k))
-        return largest_top_index(value, k)
-
-    largest_top_index = oseq.macaulay._largest_top_index
-    monkeypatch.setattr(oseq.macaulay, "_largest_top_index", counted)
     pseudopower.cache_clear()
     try:
         assert pseudopower(10**4, 10**4) == 10**4
-        assert calls == []
-        # Every step rises, so every entry is lifted, and from degree 99 on each
-        # lift is one search and then a unit tail of 98 terms.
+        assert searches == []
+        # Every step rises, so every entry is searched, and from degree 99 on the
+        # unit tail of 98 terms is never searched term by term.
         assert is_o_sequence(RISING).valid
-        assert len(calls) < 100_000
+        assert len(searches) < 100_000
     finally:
         pseudopower.cache_clear()  # no entry computed through the spy outlives it
 
@@ -226,21 +218,34 @@ def test_is_o_sequence_leaves_the_pseudopower_memo_alone():
 
 
 @pytest.mark.parametrize(
-    ("candidate", "lifts"), [((1,) + (10**100,) * 800, 0), ((1, 3, 4, 4), 1)]
+    ("candidate", "lifts"),
+    [
+        ((1,) + (10**100,) * 800, 0),
+        ((1, 3, 4, 4), 1),
+        ((1,) + tuple(10**100 + i for i in range(400)), 399),
+    ],
 )
-def test_is_o_sequence_lifts_only_where_a_step_rises(monkeypatch, candidate, lifts):
-    # a^<i> >= a, so a step that does not rise passes without a lift, and a
-    # long run of huge equal entries costs no big-integer search.
-    calls = []
-
-    def counted(a, d):
-        calls.append((a, d))
-        return lift(a, d)
-
-    lift = oseq.macaulay._lift
-    monkeypatch.setattr(oseq.macaulay, "_lift", counted)
+def test_is_o_sequence_lifts_only_where_a_step_rises(searches, candidate, lifts):
+    # a^<i> >= a, so the bounded lift of a step that does not rise stops
+    # before its first search, and a long run of huge equal entries costs none.
+    # On a rising step of huge entries the first lifted term already passes
+    # the next entry, so the lift stops after one search.
     assert is_o_sequence(candidate).valid
-    assert len(calls) == lifts
+    assert len(searches) == lifts
+
+
+@given(
+    a=st.integers(min_value=0, max_value=10**12),
+    d=st.integers(min_value=1, max_value=30),
+    offset=st.integers(min_value=-2, max_value=2),
+    other=st.integers(min_value=1, max_value=10**13),
+)
+def test_bounded_lift_decides_like_the_exact_lift(a, d, offset, other):
+    exact = _lift(a, d)
+    for enough in {1, a, a + 1, max(exact + offset, 1), other}:
+        bounded = _lift(a, d, enough)
+        assert (enough > bounded) == (enough > exact), (a, d, enough)
+        assert bounded == exact if exact < enough else enough <= bounded <= exact
 
 
 @given(a=st.integers(min_value=1, max_value=10**30), d=st.integers(min_value=1, max_value=60))
