@@ -1,11 +1,11 @@
 """Exact integer partition counting and the Hardy-Ramanujan estimate.
 
 p(n) counts all partitions of n, q(n) the partitions into distinct parts.
-Tables are exact big integers, both from the generalised pentagonal numbers
-in one blocked pass: p by Euler's recurrence, and q from p. The asymptotic
-estimate is the only place floating point appears, and it offers a
-log-space mode so the pipeline stays total when e^(pi*sqrt(2n/3)) would
-overflow a double.
+Tables are exact big integers: p by Euler's pentagonal recurrence, and q
+from p by Gauss's identity Q(x) = psi(x) P(x^2), 213 174 additions at 6000
+against 351 868 signed ones by Q(x) = P(x) E(x^2). The asymptotic estimate
+is the only place floating point appears, and it offers a log-space mode
+so the pipeline stays total when e^(pi*sqrt(2n/3)) would overflow a double.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ __all__ = [
 
 DEFAULT_TABLE_LIMIT = 100_000
 
-# The most values of n per block. Blocks grow 1, 1, 2, 4, ... up to it, so
-# none is longer than its start: offsets below its length (51 at the table
-# limit) run n by n, and longer ones read only finished blocks, one slice
-# pass each. Blocks also keep q's slices small: whole-table passes peaked
-# at 57 MiB at 100 000, against 40 MiB (2-CPU x86, Python 3.11.7).
-_BLOCK = 1024
+# The most values of n per block of p, and of half indices per block of q.
+# Blocks double up to these, so none of p's is longer than its start. p ran
+# slower with 16, within 3 % at 64-256; q's whole-table passes peaked at
+# 58.5 MiB at 100 000, against 42.0 MiB in blocks (2-CPU x86, Python 3.11.7).
+_P_BLOCK = 128
+_Q_BLOCK = 1024
 
 
 class PartitionTable(NamedTuple):
@@ -52,19 +52,18 @@ def _check_table_limit(limit: int) -> None:
 def build_partition_table(limit: int) -> PartitionTable:
     """Tabulate p and q up to ``limit`` in O(limit^1.5) big-integer additions.
 
-    Both come from the generalised pentagonal numbers g = k(3k-1)/2 and
-    k(3k+1)/2, k >= 1. p uses Euler's recurrence, p(n) = sum over g of
-    +-p(n - g), with + for odd k. q comes from p through the product
-    identity prod(1 + x^k) = P(x) * E(x^2), where P is the generating
-    function of p and E(x) = prod(1 - x^k) = sum over all integers k of
-    (-1)^k x^(k(3k-1)/2), so
+    p uses Euler's recurrence over the generalised pentagonal numbers
+    g = k(3k-1)/2 and k(3k+1)/2, k >= 1: p(n) = sum over g of +-p(n - g),
+    with + for odd k. q uses Gauss's psi(x) = sum over k >= 0 of x^T_k,
+    T_k = k(k+1)/2, = prod(1 - x^2m) / (1 - x^(2m-1)) and Euler's
+    Q(x) = prod(1 + x^m) = prod 1 / (1 - x^(2m-1)), so Q(x) = psi(x) P(x^2):
 
-        q(n) = p(n) - sum over g of +-p(n - 2g), with the same signs.
+        q(n) = sum over T_k <= n with T_k = n (mod 2) of p((n - T_k) / 2),
 
-    One pass walks blocks of n. In each block, every far offset (at least
-    the block's length) adds p shifted by g with one ``map`` over the
-    block's slice of p, the near offsets run n by n, and then q's block, a
-    copy of p's, takes one ``map`` per doubled offset 2g.
+    213 174 additions at 6000, against 351 868 signed ones by Q(x) = P(x)
+    E(x^2), E the pentagonal series. Each block of p sums the offsets that
+    read only finished values by one C-level ``map(sum, zip(...))`` per
+    sign and runs the rest n by n; q follows p, one such sum per block.
 
     Refuses limits above ``DEFAULT_TABLE_LIMIT``.
     """
@@ -72,43 +71,59 @@ def build_partition_table(limit: int) -> PartitionTable:
         raise ValueError(f"table limit must be >= 0, got {limit}")
     _check_table_limit(limit)
 
-    # The pentagonal numbers, ascending, each with its sign in p's recurrence.
-    pentagonal: list[tuple[int, bool]] = []
+    # The pentagonal numbers, ascending, each with its sign: 0 for +, 1 for -.
+    pentagonal: list[tuple[int, int]] = []
     k = 1
     while (g := k * (3 * k - 1) // 2) <= limit:
-        pentagonal += ((g, k % 2 == 1), (g + k, k % 2 == 1))
+        pentagonal += ((g, 1 - k % 2), (g + k, 1 - k % 2))
         k += 1
-    signed = [(g, add if odd else sub) for g, odd in pentagonal]
-    doubled = [(2 * g, sub if odd else add) for g, odd in pentagonal]
 
     p = [1] + [0] * limit
-    q: list[int] = []
-    start = 0
+    start = 1
     while start <= limit:
-        size = min(max(start, 1), _BLOCK)
+        size = min(start, _P_BLOCK)
         stop = min(start + size, limit + 1)
-        for g, op in signed:
+        near: tuple[list[int], list[int]] = ([], [])
+        finished: tuple[list[list[int]], list[list[int]]] = ([], [])
+        inside = []
+        for g, sign in pentagonal:
             if g >= stop:
                 break
-            if g >= size:
-                low = max(start, g)
-                p[low:stop] = map(op, p[low:stop], p[low - g : stop - g])
-        plus = [g for g, odd in pentagonal if g < size and odd]
-        minus = [g for g, odd in pentagonal if g < size and not odd]
+            if g < size:
+                near[sign].append(g)
+            elif g <= start:  # reads only finished values
+                finished[sign].append(p[start - g : stop - g])
+            else:  # starts inside the block, reading p(0..stop - g - 1), all finished
+                inside.append((g, (add, sub)[sign]))
+        if any(finished):  # p[start:stop] still holds zeros, so a sign may have no slice
+            p[start:stop] = map(sub, *[map(sum, zip(p[start:stop], *cols)) for cols in finished])
+        for g, op in inside:
+            p[g:stop] = map(op, p[g:stop], p[: stop - g])
         for n in range(start, stop):
             total = p[n]
-            for g in plus:
+            for g in near[0]:
                 total += p[n - g]
-            for g in minus:
+            for g in near[1]:
                 total -= p[n - g]
             p[n] = total
-        q += p[start:stop]
-        for a, op in doubled:
-            if a >= stop:
-                break
-            low = max(start, a)
-            q[low:stop] = map(op, q[low:stop], p[low - a : stop - a])
         start = stop
+
+    triangular = [k * (k + 1) // 2 for k in range((math.isqrt(8 * limit + 1) + 1) // 2)]
+    q = [0] * (limit + 1)
+    for r in (0, 1):
+        # q(2i + r) = sum of p(i - s) over the shifts s = (T_k - r) / 2
+        shifts = [(t - r) // 2 for t in triangular if t % 2 == r]
+        half: list[int] = []
+        lo, length = 0, (limit - r) // 2 + 1
+        while lo < length:
+            hi = min(2 * lo or 1, lo + _Q_BLOCK, length)
+            block = list(map(sum, zip(*[p[lo - s : hi - s] for s in shifts if s <= lo])))
+            for s in shifts:
+                if lo < s < hi:
+                    block[s - lo :] = map(add, block[s - lo :], p[: hi - s])
+            half += block
+            lo = hi
+        q[r::2] = half
 
     return PartitionTable(limit=limit, p_values=tuple(p), q_values=tuple(q))
 

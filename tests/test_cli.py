@@ -785,6 +785,12 @@ PINNED_OUTPUTS = [
     ("partitions --max-n 500 --log-space --format table", 0, "f5a805b9181ffebbfd19ae4df54e1f04353e8b62e3c9888def8acc4dfef980b8"),
     ("partitions --max-n 500 --log-space --format csv", 0, "4d9844a3314b74b3d0e0e3649cf8489638bddfdacfa14f12202bfa49760482a0"),
     ("partitions --max-n 500 --log-space --format json", 0, "e7872c6f1968a45e6958ff93b6740ab7e6b0e45e88e287899c74aed74c3bf2ef"),
+    # the largest partition-tables job, recorded from the pass that built q's
+    # block as a copy of p's and added one doubled pentagonal offset per map
+    ("partitions --max-n 6000 --format table", 0, "b6390a4fa03ccf3535e825b64c634a0ded308cce0dcf2a057ebeb56263703142"),
+    ("partitions --max-n 6000 --format csv", 0, "cb7c939a88ad9390d5a1c599ac9f387d6b4e965213dd2843adef931b39dfa2cf"),
+    ("partitions --max-n 6000 --format json", 0, "53b3ab83e4254db2bb54f57911124c6db109fabf0d28a774849987380998271b"),
+    ("partitions --max-n 6000 --log-space --format json", 0, "8af31e3af12aed727eaa530d8be56f00e94281565a51bb44522e1895ecf3dc43"),
     ("remark 1,3,6,10,15,21,7,3 --format table", 0, "fd5bccf6c654263855f94305b7340e4de2575856aa961ec25156afe7364b5937"),
     ("remark 1,3,6,10,15,21,7,3 --format csv", 0, "75b885f1fe4f538ad8aaf9ab0565f1cc58377b1bc0fbcd82a4731027cefe1e6b"),
     ("remark 1,3,6,10,15,21,7,3 --format json", 0, "13934eeaf5aafd0b558647b7e8fb46787a68e066519dfa25ed22ee781fb89ef1"),

@@ -122,8 +122,10 @@ def test_partition_goldens_through_100000(table_100000):
 
 # Oracles that share no code with the pentagonal recurrence: Ramanujan's
 # congruences, Euler's divisor-sum recurrence and P(x) = Q(x) P(x^2), the
-# last tying q to p (Andrews, The Theory of Partitions). The two recurrences
-# run at chosen points, the congruences at every n of their residue class.
+# last tying q to p (Andrews, The Theory of Partitions). q is built as
+# psi(x) P(x^2), so the last one checks P(x) = psi(x) P(x^2)^2 in effect.
+# The two recurrences run at chosen points, the congruences at every n of
+# their residue class.
 
 RAMANUJAN_CONGRUENCES = [(5, 4), (7, 5), (11, 6)]
 
@@ -205,10 +207,16 @@ def test_table_invariants(partition_table):
         assert partition_table.q_values[n + 1] >= partition_table.q_values[n]
 
 
-@pytest.mark.parametrize("limit", [0, 1, 2, 1023, 1024, 1025, 2047, 2048, 2049, 5000])
+@pytest.mark.parametrize(
+    "limit",
+    [0, 1, 2, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 2047, 2048, 2049, 2050, 5000],
+)
 def test_block_edges_match_the_full_table(table_100000, limit):
-    # Blocks of n end at the powers of two up to 1024, then at its multiples:
-    # a table that ends on, just before or just after one is the full one's prefix.
+    # p's blocks of n end at the powers of two up to 128, then at its
+    # multiples; q's blocks of half indices i, for q(2i) and q(2i + 1), at the
+    # powers of two up to 1024, then at its multiples, so i = 1024 is first
+    # reached at 2048 (even n) and 2049 (odd n). A table that ends on, just
+    # before or just after an edge is the full one's prefix.
     assert build_partition_table(limit) == (
         limit,
         table_100000.p_values[: limit + 1],
