@@ -15,23 +15,33 @@ stderr. A closed or unwritable stderr loses its line, never the exit code.
 ``census``, ``macaulay``, ``bounds``, ``partitions`` and ``json`` are
 imported by the runners that use them, so a job loads only what it runs:
 ``partitions`` loads neither ``census`` nor ``macaulay``, and ``check`` does
-not load ``census``.
+not load ``census``. One table, ``_COMMANDS``, declares every subcommand's
+arguments. A well-formed command line is read from it directly, so it loads
+neither ``argparse`` nor the ``gettext`` and ``locale`` that argparse
+brings; ``argparse`` builds its parser from the same table only for help
+and for a command line that the direct reader leaves to it, such as a usage
+error.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import re
 import sys
 from itertools import chain, islice
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .errors import ResourceLimitError, TheoremViolationError
 
-if TYPE_CHECKING:  # annotations only: the runners import macaulay when they run
+if TYPE_CHECKING:  # annotations only: argparse loads for help and usage errors,
+    # and the runners import macaulay when they run
+    import argparse
+
     from .macaulay import ValidityReport
+
+    Args = argparse.Namespace | SimpleNamespace  # what main hands a runner
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -62,6 +72,8 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
             # A well-formed literal that int() refuses is over the digit limit,
             # which guards against quadratic-time conversion: name the entry,
             # and do not echo an argument that may be kilobytes long.
+            import argparse
+
             if _INT_LITERAL.fullmatch(part.strip()):
                 digits = sum(map(str.isdecimal, part))
                 raise argparse.ArgumentTypeError(
@@ -72,70 +84,6 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
                 f"expected a comma-separated integer sequence, got {text!r}"
             )
     return tuple(entries)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oseq",
-        description="Count, validate, and bound O-sequences.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("table", "csv", "json"),
-            default="table",
-            dest="fmt",
-        )
-
-    p = sub.add_parser("check", help="validate a candidate sequence")
-    p.set_defaults(run=_run_check)
-    p.add_argument("sequence", type=_parse_sequence, help="comma-separated entries, e.g. 1,3,4,4")
-    add_format(p)
-
-    p = sub.add_parser("count", help="exact number of O-sequences of length n")
-    p.set_defaults(run=_run_count)
-    p.add_argument("--n", type=int, required=True)
-    add_format(p)
-
-    p = sub.add_parser("enumerate", help="list every O-sequence of length n")
-    p.set_defaults(run=_run_enumerate)
-    p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.add_argument(
-        "--cap",
-        type=int,
-        metavar="K",
-        help="refuse to stream more than K sequences",
-    )
-
-    p = sub.add_parser("census", help="counts for every length up to max-n")
-    p.set_defaults(run=_run_census)
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    add_format(p)
-
-    p = sub.add_parser("bounds", help="verify both count bounds up to max-n")
-    p.set_defaults(run=_run_bounds)
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    add_format(p)
-
-    p = sub.add_parser("partitions", help="exact p/q table up to max-n")
-    p.set_defaults(run=_run_partitions)
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    add_format(p)
-    p.add_argument(
-        "--log-space",
-        action="store_true",
-        help="report the asymptotic estimate as a natural log (never overflows)",
-    )
-
-    p = sub.add_parser("remark", help="staircase profile of one sequence")
-    p.set_defaults(run=_run_remark)
-    p.add_argument("sequence", type=_parse_sequence, help="comma-separated entries")
-    add_format(p)
-
-    return parser
 
 
 def _cell(value: Any) -> str:
@@ -211,13 +159,13 @@ def _render(
         write("\n".join(chunk) + "\n")
 
 
-def _run_check(args: argparse.Namespace) -> int:
+def _run_check(args: Args) -> int:
     from .macaulay import is_o_sequence
 
     return _write_check(args, is_o_sequence(args.sequence))
 
 
-def _write_check(args: argparse.Namespace, report: ValidityReport) -> int:
+def _write_check(args: Args, report: ValidityReport) -> int:
     """Write ``check``'s record of ``report``, the validity of ``args.sequence``."""
     seq = ",".join(map(str, args.sequence))
     if report.valid:
@@ -235,7 +183,7 @@ def _write_check(args: argparse.Namespace, report: ValidityReport) -> int:
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
-def _run_count(args: argparse.Namespace) -> int:
+def _run_count(args: Args) -> int:
     from .census import count_osequences
 
     count = count_osequences(args.n)
@@ -247,7 +195,7 @@ def _run_count(args: argparse.Namespace) -> int:
 _SEQUENCE_ROW = {"table": ("", ",", ""), "csv": ("", " ", ""), "json": ("[", ",", "]")}
 
 
-def _run_enumerate(args: argparse.Namespace) -> int:
+def _run_enumerate(args: Args) -> int:
     from .census import DEFAULT_STREAM_CAP, _osequence_blocks
 
     cap = DEFAULT_STREAM_CAP if args.cap is None else args.cap
@@ -271,7 +219,7 @@ def _run_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_census(args: argparse.Namespace) -> int:
+def _run_census(args: Args) -> int:
     from .census import build_census
 
     table = build_census(args.max_n)
@@ -289,7 +237,7 @@ def _run_census(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_bounds(args: argparse.Namespace) -> int:
+def _run_bounds(args: Args) -> int:
     from .bounds import build_bounds_report
     from .census import build_census
     from .partitions import build_partition_table
@@ -342,7 +290,7 @@ _PARTITIONS_ROW = {
 }
 
 
-def _run_partitions(args: argparse.Namespace) -> int:
+def _run_partitions(args: Args) -> int:
     from .partitions import _check_table_limit, _estimates, build_partition_table, hardy_ramanujan
 
     # The limit first: above it, --log-space would not get past the build.
@@ -385,7 +333,7 @@ def _run_partitions(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_remark(args: argparse.Namespace) -> int:
+def _run_remark(args: Args) -> int:
     from .bounds import _staircase_profile
     from .macaulay import is_o_sequence
 
@@ -425,6 +373,116 @@ def _run_remark(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Each subcommand's arguments, declared once and read two ways: build_parser
+# hands them to argparse, and _read_argv reads a well-formed command line
+# with them alone. An argument is a flag or positional name and the keywords
+# add_argument takes for it; each subcommand lists them in --help's order.
+_FORMAT = ("--format", dict(choices=("table", "csv", "json"), default="table", dest="fmt"))
+_N = ("--n", dict(type=int, required=True))
+_MAX_N = ("--max-n", dict(type=int, required=True))
+_CAP = ("--cap", dict(type=int, metavar="K", help="refuse to stream more than K sequences"))
+_LOG_SPACE = (
+    "--log-space",
+    dict(
+        action="store_true",
+        default=False,
+        help="report the asymptotic estimate as a natural log (never overflows)",
+    ),
+)
+
+
+def _sequence(help_text: str) -> tuple[str, dict[str, Any]]:
+    return ("sequence", dict(type=_parse_sequence, help=help_text))
+
+
+# name -> (help, runner, arguments)
+_COMMANDS = {
+    "check": (
+        "validate a candidate sequence",
+        _run_check,
+        (_sequence("comma-separated entries, e.g. 1,3,4,4"), _FORMAT),
+    ),
+    "count": ("exact number of O-sequences of length n", _run_count, (_N, _FORMAT)),
+    "enumerate": ("list every O-sequence of length n", _run_enumerate, (_N, _FORMAT, _CAP)),
+    "census": ("counts for every length up to max-n", _run_census, (_MAX_N, _FORMAT)),
+    "bounds": ("verify both count bounds up to max-n", _run_bounds, (_MAX_N, _FORMAT)),
+    "partitions": ("exact p/q table up to max-n", _run_partitions, (_MAX_N, _FORMAT, _LOG_SPACE)),
+    "remark": (
+        "staircase profile of one sequence",
+        _run_remark,
+        (_sequence("comma-separated entries"), _FORMAT),
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="oseq",
+        description="Count, validate, and bound O-sequences.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, run, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.set_defaults(run=run)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+    return parser
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """Read a well-formed command line as argparse would, without argparse.
+
+    Well-formed is: a subcommand's exact name, then each of its options at
+    most once, as its exact flag and a separate value (a bare flag for
+    ``--log-space``), and its one positional if it has one; no value or
+    positional starts with ``-``; every value converts, and every required
+    option is there. The namespace then equals what
+    ``build_parser().parse_args(argv)`` returns. Anything else returns None
+    and is left to argparse, which prints help or the usage error as it
+    always has: ``-h``, an abbreviated flag, ``--n=5``, a repeated option,
+    ``--``, a negative number, a bad value.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, run, arguments = _COMMANDS[argv[0]]
+    specs = dict(arguments)
+    positionals = (name for name in specs if not name.startswith("-"))
+    texts: dict[str, str | None] = {}  # argument -> its text, None for a bare flag
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            if token not in specs or token in texts:
+                return None
+            name, text = token, None if "action" in specs[token] else next(tokens, "-")
+        else:
+            name, text = next(positionals, None), token
+            if name is None:
+                return None
+        if text is not None and text.startswith("-"):
+            return None
+        texts[name] = text
+    values: dict[str, Any] = {"command": argv[0], "run": run}
+    for name, spec in arguments:
+        dest = spec.get("dest", name.lstrip("-").replace("-", "_"))
+        if name not in texts:
+            if spec.get("required", not name.startswith("-")):
+                return None
+            values[dest] = spec.get("default")
+        elif texts[name] is None:  # a bare flag stores True
+            values[dest] = True
+        else:
+            try:
+                value = spec.get("type", str)(texts[name])
+            except Exception:  # argparse converts it again and reports the refusal
+                return None
+            if value not in spec.get("choices", (value,)):
+                return None
+            values[dest] = value
+    return SimpleNamespace(**values)
+
+
 def _to_devnull(stream: Any) -> None:
     """Point a stream that failed a write at devnull: its buffer keeps what
     failed, and the interpreter's final flush would fail on it and exit 120."""
@@ -449,7 +507,9 @@ def _fail(code: int, message: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Parse, run and flush; each failure becomes one exit code and its stderr line."""
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         if sys.stdout is None:  # the caller closed fd 1 (`>&-`)
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))

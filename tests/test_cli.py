@@ -6,6 +6,7 @@ subcommand, and the machine formats are checked for byte determinism.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
 import io
@@ -22,6 +23,8 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oseq.census
 from oseq.bounds import (
@@ -39,7 +42,7 @@ from oseq.census import (
     enumerate_osequences,
     precritical_prefixes,
 )
-from oseq.cli import _render, build_parser, main
+from oseq.cli import _read_argv, _render, build_parser, main
 from oseq.errors import TheoremViolationError
 from oseq.macaulay import is_o_sequence
 from oseq.partitions import DEFAULT_TABLE_LIMIT, build_partition_table
@@ -511,12 +514,12 @@ def test_bug_line_precedes_the_failed_final_flush():
     # A runner that has buffered a row and then hits a bug: its line goes to
     # stderr, and stdout's final flush on the full disk then adds its own.
     script = (
-        "import sys, oseq.cli as cli\n"
+        "import sys, oseq.census, oseq.cli as cli\n"
         "from oseq.errors import TheoremViolationError\n"
-        "def planted(args):\n"
+        "def planted(n):\n"
         "    print('1')\n"
         "    raise TheoremViolationError('planted')\n"
-        "cli._run_count = planted\n"
+        "oseq.census.count_osequences = planted\n"
         "sys.exit(cli.main(['count', '--n', '1']))\n"
     )
     with open("/dev/full", "wb") as full:
@@ -1019,38 +1022,55 @@ def test_importing_the_cli_from_the_package_loads_only_what_it_imports():
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "['oseq.cli', 'oseq.errors']\n")
 
 
-def loaded_after(job: str, *argv: str) -> str:
-    """Which of oseq.bounds, oseq.census, oseq.macaulay, oseq.partitions and
-    json a job has loaded when its process exits."""
+def loaded_after(job: str, *argv: str) -> tuple[int, list[str]]:
+    """A job's exit code, and which of argparse, json, locale, oseq.bounds,
+    oseq.census, oseq.macaulay and oseq.partitions it has loaded when its
+    process exits."""
     done = run_python(
         "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print(sorted({'oseq.bounds', 'oseq.census', 'oseq.macaulay',"
-        " 'oseq.partitions', 'json'} & set(sys.modules)), file=sys.stderr))\n" + job,
+        "atexit.register(lambda: print(*sorted({'argparse', 'json', 'locale', 'oseq.bounds',"
+        " 'oseq.census', 'oseq.macaulay', 'oseq.partitions'} & set(sys.modules)), file=sys.stderr))\n"
+        + job,
         *argv,
     )
-    assert done.returncode == 0, done.stderr
-    return done.stderr
+    return done.returncode, done.stderr.splitlines()[-1].split()
 
+
+CLI_JOB = "runpy.run_module('oseq.cli', run_name='__main__', alter_sys=True)"
 
 # argv -> what the job loads of the modules loaded_after reports
 JOB_LOADS = {
-    ("check", "1"): "['oseq.macaulay']",
-    ("count", "--n", "5"): "['oseq.census', 'oseq.macaulay']",
-    ("enumerate", "--n", "5"): "['oseq.census', 'oseq.macaulay']",
-    ("partitions", "--max-n", "5", "--format", "csv"): "['oseq.partitions']",
-    ("partitions", "--max-n", "5", "--format", "json"): "['json', 'oseq.partitions']",
+    ("check", "1"): ["oseq.macaulay"],
+    ("count", "--n", "5"): ["oseq.census", "oseq.macaulay"],
+    ("enumerate", "--n", "5"): ["oseq.census", "oseq.macaulay"],
+    ("partitions", "--max-n", "5", "--format", "csv"): ["oseq.partitions"],
+    ("partitions", "--max-n", "5", "--format", "json"): ["json", "oseq.partitions"],
+    ("census", "--max-n", "5"): ["oseq.census", "oseq.macaulay"],
+    ("bounds", "--max-n", "5"): ["oseq.bounds", "oseq.census", "oseq.macaulay", "oseq.partitions"],
+    ("remark", "1,3,4,4"): ["oseq.bounds", "oseq.macaulay"],
+    ("enumerate", "--n", "5", "--format", "json"): ["json", "oseq.census", "oseq.macaulay"],
 }
 
 
 @pytest.mark.parametrize("argv", list(JOB_LOADS))
 def test_cli_jobs_load_only_what_they_run(argv):
-    job = "runpy.run_module('oseq.cli', run_name='__main__', alter_sys=True)"
-    assert loaded_after(job, *argv) == JOB_LOADS[argv] + "\n"
+    code, loaded = loaded_after(CLI_JOB, *argv)
+    assert (code, loaded) == (0, JOB_LOADS[argv])
+    # a well-formed command line is read without argparse, which brings locale
+    assert not {"argparse", "locale"} & set(loaded)
+
+
+@pytest.mark.parametrize(("argv", "code"), [(("count", "--help"), 0), (("count", "--n", "x"), 2)])
+def test_help_and_usage_errors_load_argparse(argv, code):
+    got, loaded = loaded_after(CLI_JOB, *argv)
+    assert got == code
+    assert "argparse" in loaded
 
 
 def test_remark_sweep_leaves_out_partitions():
     job = f"runpy.run_path({str(SWEEP_PATH)!r}, run_name='__main__')"
-    assert loaded_after(job, "--max-n", "5") == "['oseq.bounds', 'oseq.census', 'oseq.macaulay']\n"
+    loaded = ["argparse", "locale", "oseq.bounds", "oseq.census", "oseq.macaulay"]
+    assert loaded_after(job, "--max-n", "5") == (0, loaded)
 
 
 @pytest.mark.parametrize(
@@ -1123,3 +1143,109 @@ def test_unknown_subcommand_is_an_argparse_error(capsys):
         main(["frobnicate"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the command line without argparse
+
+
+# (command, sha256 of `oseq [command] --help` at 80 columns), recorded from the
+# parser whose subcommands each made their own add_argument calls
+PINNED_HELP = [
+    ("", "0f030185e9606f84eff692d99d8edbc45ffc061d43f8a14a74579b7c8986a396"),
+    ("check", "1fb4b9933ec6a7bfbad050062b2816ac00c16b51e60bb07f310e79875dc5e5ef"),
+    ("count", "5096fe96b871b19643135bc0a5ed3c97b1bc3e6772d204a29e82ad9bbf2f00a6"),
+    ("enumerate", "9430b96f1bfab8ce7078dba87a17c8ecb0c3661d3526c2fd96ba507ee854c8c0"),
+    ("census", "f30ad26fc810d551ffbc83e64c7e4f4094cee7b520ec24ab11be205cc767d50a"),
+    ("bounds", "cb0cfd5d1b0ff5bf25b77c68fada0eac1abb2833053c2713b20a9855858c92de"),
+    ("partitions", "4b2750440fb31f8bb7620e944ad5a4455adf05ab895ab689cf5132f56137d3f6"),
+    ("remark", "abd31640cbc2c52686efd0aa7d9086c60edcfb9e904329a8b9a3d414f8a7f71f"),
+]
+
+
+@pytest.mark.parametrize(("command", "digest"), PINNED_HELP)
+def test_help_is_pinned(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command.split(), "--help"])
+    out, err = capsys.readouterr()
+    assert (excinfo.value.code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def parsed_by_argparse(argv: list[str]) -> dict | None:
+    """``vars()`` of what argparse makes of ``argv``, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in PINNED_OUTPUTS])
+def test_well_formed_commands_are_read_as_argparse_reads_them(argv):
+    read = _read_argv(argv.split())
+    assert read is not None
+    assert vars(read) == parsed_by_argparse(argv.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "-h",
+        "count --help",
+        "census --max 5",  # an abbreviation
+        "count --n=5",
+        "count --n 5 --n 6",  # a repeated option
+        "count --n 5 --",
+        "count --n -3",  # a negative number
+        "count --n -1_0",  # one that argparse takes for a flag
+        "check -1",
+        "count --n x",
+        "check 1,x",
+        "count --n 5 --format bogus",
+        "count",  # a required option missing
+        "check",
+        "check 1 2",
+        "frobnicate --n 5",
+    ],
+)
+def test_read_argv_leaves_the_rest_to_argparse(argv):
+    assert _read_argv(argv.split()) is None
+
+
+COMMAND_NAMES = ["check", "count", "enumerate", "census", "bounds", "partitions", "remark"]
+
+# Pieces of a command line: every flag with a value and without one, an
+# unknown command, abbreviations, attached values, help, "--", and values
+# that convert, that do not, that are out of range or look like flags
+# ("-1_0" converts, but argparse takes it for a flag).
+ARGV_PIECES = [
+    *([name] for name in COMMAND_NAMES),
+    ["frobnicate"], ["che"],
+    ["--n", "5"], ["--max-n", "5"], ["--cap", "3"], ["--format", "json"], ["--format", "csv"],
+    ["--n", "x"], ["--n", "-1_0"], ["--max-n", "-3"], ["--format", "bogus"],
+    ["--log-space"], ["--n"], ["--max-n"], ["--cap"], ["--format"],
+    ["--max", "5"], ["--form", "csv"], ["--log"], ["--n=5"], ["--format=json"],
+    ["-h"], ["--help"], ["--"],
+    ["5"], ["-3"], ["0"], ["x"], ["1,3,4,4"], ["1,x"], ["json"], ["bogus"], [""],
+]
+
+
+# What a command needs, so that well-formed command lines are drawn often.
+REQUIRED_PIECES = [[], ["--n", "5"], ["--max-n", "5"], ["1,3,4,4"]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(COMMAND_NAMES + ["-h", "frobnicate"]),
+    st.sampled_from(REQUIRED_PIECES),
+    st.lists(st.sampled_from(ARGV_PIECES), max_size=4),
+)
+def test_read_argv_agrees_with_argparse(command, required, pieces):
+    argv = [command, *required, *itertools.chain.from_iterable(pieces)]
+    read, parsed = _read_argv(argv), parsed_by_argparse(argv)
+    if read is not None:
+        assert vars(read) == parsed
+    if parsed is None:  # argparse printed help or a usage error and exited
+        assert read is None
