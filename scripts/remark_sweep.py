@@ -24,6 +24,8 @@ script names the prefix or n on stderr and exits 3.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 
 from oseq.bounds import StaircaseDecomposition, _staircase_step_holds, staircase_decompose
@@ -86,4 +88,6 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    # The exit then skips its full collections over the frozen heap, as oseq.cli's does.
+    atexit.register(gc.freeze)
     sys.exit(main())

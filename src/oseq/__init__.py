@@ -7,7 +7,10 @@ them: a submodule, ``cli`` included, loads alone when it is first imported
 read of any other name (``oseq.HVector``, ``oseq.__all__``, ``from oseq
 import *``, ``dir(oseq)``) loads all five library modules and binds their
 public names here. So ``python -m oseq.cli`` and the scripts load only the
-modules they use.
+modules they use. No module imports ``typing``, which imports ``re`` on
+Python 3.10 to 3.12: the result records are ``collections.namedtuple``
+subclasses with their fields annotated, and names that only annotations use
+are imported under ``TYPE_CHECKING``.
 """
 
 from importlib import import_module

@@ -20,13 +20,16 @@ asserted the same way).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from math import isqrt
-from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import TheoremViolationError
 from .macaulay import HVector, is_o_sequence
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING: no module imports typing, which imports re
 if TYPE_CHECKING:  # annotations only: importing bounds does not load partitions
+    from typing import Sequence
+
     from .census import CensusTable
     from .partitions import PartitionTable
 
@@ -73,7 +76,7 @@ def check_prefix_bound(h: HVector) -> bool:
     return j * j < 2 * h.total
 
 
-class BoundsRecord(NamedTuple):
+class BoundsRecord(namedtuple("BoundsRecord", "n count lower log_upper c1_emp c2_emp")):
     """One length's count with its lower and upper bound data.
 
     Both bounds hold: ``build_bounds_report`` raises before it would build a
@@ -85,6 +88,8 @@ class BoundsRecord(NamedTuple):
     undefined at n = 1.
     """
 
+    __slots__ = ()
+
     n: int
     count: int
     lower: int
@@ -93,7 +98,9 @@ class BoundsRecord(NamedTuple):
     c2_emp: float | None
 
 
-class BoundsReport(NamedTuple):
+class BoundsReport(namedtuple("BoundsReport", "records c1_min c2_max")):
+    __slots__ = ()
+
     records: tuple[BoundsRecord, ...]
     c1_min: float | None
     c2_max: float | None
@@ -139,13 +146,15 @@ def build_bounds_report(census: CensusTable, partitions: PartitionTable) -> Boun
     return BoundsReport(records=tuple(records), c1_min=c1_min, c2_max=c2_max)
 
 
-class StaircaseDecomposition(NamedTuple):
+class StaircaseDecomposition(namedtuple("StaircaseDecomposition", "degree t alpha")):
     """h_i written as (i+1) + i + ... + (i-t+1) plus a remainder alpha.
 
     Equivalently a sum of t + 1 consecutive binomials C(m+1, m) starting at
     m = i, with 0 <= alpha < i - t. Defined only for i + 1 <= h_i <=
     (i+1)(i+2)/2 - 1; outside that window no (t, alpha) pair exists.
     """
+
+    __slots__ = ()
 
     degree: int
     t: int
@@ -194,7 +203,9 @@ def _staircase_step_holds(
     )
 
 
-class RemarkReport(NamedTuple):
+class RemarkReport(
+    namedtuple("RemarkReport", "decompositions first_applicable_degree critical_index")
+):
     """Staircase profile of the pre-critical window of one sequence.
 
     ``decompositions`` holds one (degree, decomposition-or-None) pair for
@@ -203,6 +214,8 @@ class RemarkReport(NamedTuple):
     ``remark_profile`` asserts this by the window lemma and raises on a
     violation.
     """
+
+    __slots__ = ()
 
     decompositions: tuple[tuple[int, StaircaseDecomposition | None], ...]
     first_applicable_degree: int | None

@@ -29,13 +29,19 @@ already rendered, and shared as a block by every prefix with that key.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import repeat
 from math import isqrt
 from operator import add, itemgetter
-from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import EnumerationCapError, ResourceLimitError, TheoremViolationError
 from .macaulay import HVector, _lift, pseudopower
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING: no module imports typing, which imports re
+if TYPE_CHECKING:  # annotations only
+    from typing import Callable, Iterator, TypeVar
+
+    _P = TypeVar("_P", str, "tuple[int, ...]")  # what the enumerate walk renders a sequence as
 
 __all__ = [
     "DEFAULT_STREAM_CAP",
@@ -53,7 +59,6 @@ __all__ = [
 # (launch to exit, peak RSS from os.wait4; 2-CPU x86, Python 3.11.7).
 _MAX_CENSUS_CEILING = 6000
 DEFAULT_STREAM_CAP = 100_000
-_P = TypeVar("_P", str, "tuple[int, ...]")  # what the enumerate walk renders a sequence as
 
 
 class CensusCounter:
@@ -250,8 +255,10 @@ def enumerate_osequences(n: int, cap: int = DEFAULT_STREAM_CAP) -> Iterator[HVec
     return (HVector(head + tail) for head, tails in blocks for tail in tails)
 
 
-class CensusTable(NamedTuple):
+class CensusTable(namedtuple("CensusTable", "records max_n")):
     """Computed counts for every length 1..max_n."""
+
+    __slots__ = ()
 
     records: dict[int, int]
     max_n: int

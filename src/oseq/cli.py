@@ -20,24 +20,29 @@ arguments. A well-formed command line is read from it directly, so it loads
 neither ``argparse`` nor the ``gettext`` and ``locale`` that argparse
 brings; ``argparse`` builds its parser from the same table only for help
 and for a command line that the direct reader leaves to it, such as a usage
-error.
+error. Only a refused sequence entry loads ``re``. Importing the module
+registers ``gc.freeze`` as an exit hook, so that a process that ran the CLI
+skips the interpreter's final full collections; ``main`` itself leaves the
+heap as it finds it.
 """
 
 from __future__ import annotations
 
+import atexit
 import errno
+import gc
 import os
-import re
 import sys
 from itertools import chain, islice
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .errors import ResourceLimitError, TheoremViolationError
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING: no module imports typing, which imports re
 if TYPE_CHECKING:  # annotations only: argparse loads for help and usage errors,
     # and the runners import macaulay when they run
     import argparse
+    from typing import Any, Iterable, Iterator
 
     from .macaulay import ValidityReport
 
@@ -59,10 +64,6 @@ EXIT_BROKEN_PIPE = 141  # as a shell reports a death by SIGPIPE (128 + 13)
 _CHUNK = 256
 
 
-# An integer literal as int() reads one in base 10, without the whitespace.
-_INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
-
-
 def _parse_sequence(text: str) -> tuple[int, ...]:
     entries = []
     for i, part in enumerate(text.split(",")):
@@ -71,10 +72,13 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
         except ValueError:
             # A well-formed literal that int() refuses is over the digit limit,
             # which guards against quadratic-time conversion: name the entry,
-            # and do not echo an argument that may be kilobytes long.
+            # and do not echo an argument that may be kilobytes long. Only a
+            # refused entry loads re, so no well-formed command line does.
             import argparse
+            import re
 
-            if _INT_LITERAL.fullmatch(part.strip()):
+            # an integer literal as int() reads one in base 10, without the whitespace
+            if re.fullmatch(r"[+-]?\d+(?:_\d+)*", part.strip()):
                 digits = sum(map(str.isdecimal, part))
                 raise argparse.ArgumentTypeError(
                     f"h_{i} has {digits} digits, over Python's limit of "
@@ -531,6 +535,17 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_BROKEN_PIPE
         return _fail(EXIT_RESOURCE, f"error: cannot write output: {exc.strerror}")
     return code
+
+
+# While it tears the modules down, the interpreter's exit runs full cyclic
+# collections over every tracked object, every loaded module included. atexit
+# hooks run before them, and a frozen object is in the permanent generation,
+# which they skip. Deallocation by reference count, the final flushes of
+# stdout and stderr and every other atexit hook still run. Registered on
+# import, not called in main, so that `python -m oseq.cli` and the console
+# script, which imports main, both get it, and an in-process caller keeps a
+# normal heap until its own exit.
+atexit.register(gc.freeze)
 
 
 if __name__ == "__main__":

@@ -13,8 +13,12 @@ validity decision.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING: no module imports typing, which imports re
+if TYPE_CHECKING:  # annotations only
+    from typing import Sequence
 
 __all__ = [
     "HVector",
@@ -107,13 +111,15 @@ class HVector:
         return self.entries[i]
 
 
-class MacaulayExpansion(NamedTuple):
+class MacaulayExpansion(namedtuple("MacaulayExpansion", "degree terms")):
     """The degree-d binomial representation of a positive integer.
 
     ``terms`` is a sequence of (top_index, degree) pairs with degrees
     running consecutively from ``degree`` down to some j >= 1 and top
     indices strictly decreasing, top_index >= degree for every term.
     """
+
+    __slots__ = ()
 
     degree: int
     terms: tuple[tuple[int, int], ...]
@@ -201,16 +207,20 @@ def pseudopower(a: int, d: int) -> int:
     return _lift(a, d)
 
 
-class ValidityReport(NamedTuple):
+class ValidityReport(
+    namedtuple("ValidityReport", "valid first_violation reason", defaults=(None, None))
+):
     """Outcome of the O-sequence test.
 
     ``first_violation`` is only set for growth violations and names the
     index i at which h_{i+1} > pseudopower(h_i, i).
     """
 
+    __slots__ = ()
+
     valid: bool
-    first_violation: int | None = None
-    reason: str | None = None
+    first_violation: int | None  # default None
+    reason: str | None  # default None
 
 
 def is_o_sequence(candidate: Sequence[int]) -> ValidityReport:

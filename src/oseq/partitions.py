@@ -11,10 +11,14 @@ so the pipeline stays total when e^(pi*sqrt(2n/3)) would overflow a double.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from operator import add, sub
-from typing import Iterator, NamedTuple
 
 from .errors import ResourceLimitError
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING: no module imports typing, which imports re
+if TYPE_CHECKING:  # annotations only
+    from typing import Iterator
 
 __all__ = [
     "DEFAULT_TABLE_LIMIT",
@@ -33,8 +37,10 @@ _P_BLOCK = 128
 _Q_BLOCK = 1024
 
 
-class PartitionTable(NamedTuple):
+class PartitionTable(namedtuple("PartitionTable", "limit p_values q_values")):
     """Exact values p(0..limit) and q(0..limit)."""
+
+    __slots__ = ()
 
     limit: int
     p_values: tuple[int, ...]

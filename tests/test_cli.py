@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import itertools
@@ -848,18 +849,33 @@ def test_remark_sweep_output_is_pinned():
         assert done.stderr == b""
 
 
-def test_tracer_runs_a_job_as_the_plain_cli_does(capsys):
+# job (the arguments after the interpreter) -> its exit code
+TRACED_JOBS = {
+    ("-m", "oseq.cli", "bounds", "--max-n", "20", "--format", "csv"): 0,
+    ("-m", "oseq.cli", "count", "--n", "0"): 2,
+    ("scripts/remark_sweep.py", "--max-n", "12"): 0,
+}
+
+
+@pytest.mark.parametrize("job", list(TRACED_JOBS), ids=lambda job: " ".join(job[:3]))
+def test_tracer_runs_a_job_as_the_plain_cli_does(job):
     # perfbench/tracer.py wraps functions of the package by name, so a name it
     # reads that is renamed or deleted would stop every traced benchmark run.
-    argv = ["bounds", "--max-n", "20", "--format", "csv"]
+    # It writes its report once the job's SystemExit returns to it, so a job
+    # that left by os._exit would lose the report.
     env = {**os.environ, "PYTHONPATH": "src"}
-    done = subprocess.run(
-        [sys.executable, "perfbench/tracer.py", "-m", "oseq.cli", *argv],
-        cwd=SWEEP_PATH.parent.parent, env=env, capture_output=True, text=True,
+    plain, traced = (
+        subprocess.run(
+            [sys.executable, *tracer, *job],
+            cwd=SWEEP_PATH.parent.parent, env=env, capture_output=True, text=True,
+        )
+        for tracer in ((), ("perfbench/tracer.py",))
     )
-    assert done.returncode == 0
-    assert run_cli(capsys, *argv) == (0, done.stdout, "")
-    assert json.loads(done.stderr.splitlines()[-1])["exit"] == 0
+    code = TRACED_JOBS[job]
+    assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
+    *lines, report = traced.stderr.splitlines(keepends=True)
+    assert "".join(lines) == plain.stderr
+    assert (plain.returncode, json.loads(report)["exit"]) == (code, code)
 
 
 def test_remark_sweep_refuses_negative_max_n():
@@ -993,11 +1009,12 @@ def test_remark_sweep_exits_three_on_the_prefix_bound(capsys, monkeypatch):
 # start-up
 
 
-def run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
-    """``python -c code argv...`` in a fresh interpreter, from the repository root."""
+def run_python(code: str, *argv: str, site: bool = True) -> subprocess.CompletedProcess:
+    """``python -c code argv...`` in a fresh interpreter, from the repository
+    root; ``python -S`` without ``site``."""
     env = {**os.environ, "PYTHONPATH": "src"}
     return subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, *(() if site else ("-S",)), "-c", code, *argv],
         cwd=SWEEP_PATH.parent.parent, env=env, capture_output=True, text=True,
     )
 
@@ -1067,10 +1084,84 @@ def test_help_and_usage_errors_load_argparse(argv, code):
     assert "argparse" in loaded
 
 
+SWEEP_JOB = f"runpy.run_path({str(SWEEP_PATH)!r}, run_name='__main__')"
+
+
 def test_remark_sweep_leaves_out_partitions():
-    job = f"runpy.run_path({str(SWEEP_PATH)!r}, run_name='__main__')"
     loaded = ["argparse", "locale", "oseq.bounds", "oseq.census", "oseq.macaulay"]
-    assert loaded_after(job, "--max-n", "5") == (0, loaded)
+    assert loaded_after(SWEEP_JOB, "--max-n", "5") == (0, loaded)
+
+
+# site can load re and typing itself (a .pth file may import them), which would
+# hide what the package loads; so these children run without site. json's
+# decoder imports re, so a job that writes json loads it.
+@pytest.mark.parametrize("argv", [argv for argv, loads in JOB_LOADS.items() if "json" not in loads])
+def test_well_formed_commands_load_neither_re_nor_typing(argv):
+    probe = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(sorted({'re', 'typing'} & set(sys.modules)), file=sys.stderr))\n"
+    )
+    done = run_python(probe + CLI_JOB, *argv, site=False)
+    assert (done.returncode, done.stderr) == (0, "[]\n")
+
+
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    ("entry", "message"),
+    [
+        ("x", "expected a comma-separated integer sequence, got '1,x'"),
+        (
+            "9" * (DIGIT_LIMIT + 1),
+            f"h_1 has {DIGIT_LIMIT + 1} digits, over Python's limit of {DIGIT_LIMIT} "
+            "for integer string conversion",
+        ),
+    ],
+    ids=["not-an-integer", "over-the-digit-limit"],
+)
+def test_a_refused_entry_still_names_its_fault_without_site(entry, message):
+    # re, which tells an over-long literal from a malformed one, loads only here.
+    done = run_python("import runpy\n" + CLI_JOB, "check", f"1,{entry}", site=False)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "usage: oseq check [-h] [--format {table,csv,json}] sequence\n"
+        f"oseq check: error: argument sequence: {message}\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# exit
+
+
+# atexit runs its hooks last in, first out, so this probe, registered before
+# the job, runs after the job's own hooks and reads what they left.
+FREEZE_PROBE = "import atexit, gc, runpy, sys\natexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+
+
+@pytest.mark.parametrize(
+    ("job", "argv", "frozen"),
+    [
+        (CLI_JOB, ("count", "--n", "5"), True),
+        ("from oseq.cli import main; sys.exit(main())", ("count", "--n", "5"), True),  # console script
+        (SWEEP_JOB, ("--max-n", "5"), True),
+        ("from oseq.census import count_osequences; count_osequences(5)", (), False),
+    ],
+    ids=["python -m oseq.cli", "console script", "remark_sweep.py", "library"],
+)
+def test_every_program_freezes_its_heap_at_exit(job, argv, frozen):
+    # A frozen heap is in the permanent generation, which the interpreter's
+    # final collections skip. The library alone registers nothing.
+    done = run_python(FREEZE_PROBE + job, *argv)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == str(frozen)
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # An in-process caller keeps a normal heap until its own exit.
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "count", "--n", "5") == (0, "L(5) = 5\n", "")
+    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize(

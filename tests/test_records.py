@@ -1,7 +1,8 @@
 """The record contracts: immutable, compared and hashed by their fields.
 
-Every result record is a ``typing.NamedTuple``; ``HVector`` is a small
-slotted class, since it iterates over its entries rather than its fields.
+Every result record is a slotted ``collections.namedtuple`` subclass whose
+class body annotates its fields; ``HVector`` is a small slotted class, since
+it iterates over its entries rather than its fields.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ UNHASHABLE = {CensusTable}
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
 def test_record_contract(cls, fields):
     record = cls(**fields)
-    assert record._fields == tuple(fields)
+    assert record._fields == tuple(fields) == tuple(cls.__annotations__)
+    with pytest.raises(AttributeError):
+        record.extra = None
     assert record == cls(**copy.deepcopy(fields))
     for name in fields:
         with pytest.raises(AttributeError):
