@@ -2,9 +2,10 @@
 
 Subcommands: check, count, enumerate, census, bounds, partitions, remark.
 Output formats: table (human), csv, json (machine; big integers as decimal
-strings, schemas shipped under schemas/). Each runner describes its output
-once, and ``_render`` writes it in the chosen format, streaming long record
-lists in chunks. Exit codes: 0 success; 1 invalid input sequence (``check``,
+strings, schemas shipped under schemas/). Each runner writes every row
+once, as text in the chosen format, and ``_render`` only frames the rows:
+it writes them in chunks, and in json after the head's fields, as a list
+under one key. Exit codes: 0 success; 1 invalid input sequence (``check``,
 and ``remark``, which then prints what ``check`` prints); 2 resource-limit
 refusal, bad usage, or output that cannot be written (a full disk, or stdout
 closed by the caller with ``>&-``: one ``error: cannot write output:`` line);
@@ -33,7 +34,7 @@ import errno
 import gc
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, starmap
 from types import SimpleNamespace
 
 from .errors import ResourceLimitError, TheoremViolationError
@@ -90,19 +91,7 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
     return tuple(entries)
 
 
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return " ".join(map(str, value))
-    return str(value)
-
-
-def _chunks(items: Iterable[Any]) -> Iterator[list[Any]]:
+def _chunks(items: Iterable[str]) -> Iterator[list[str]]:
     items = iter(items)
     while chunk := list(islice(items, _CHUNK)):
         yield chunk
@@ -114,53 +103,29 @@ def _json(value: Any) -> str:
     return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
-def _render(
-    fmt: str,
-    head: dict[str, Any],
-    columns: tuple[str, ...],
-    lines: Iterable[str],
-    key: str | None = None,
-    records: Iterable[Any] = (),
-) -> None:
+def _render(fmt: str, head: dict[str, Any], rows: Iterable[str], key: str | None = None) -> None:
     """Write what one command prints to stdout as a table, csv or json.
 
-    ``head`` holds the JSON top-level fields. With a ``key``, ``records``
-    follow them in JSON as a list under that key and are the CSV rows;
-    without one, ``head`` is the single CSV row. Records are dicts or
-    strings, either all of one kind or all of the other. ``columns`` names
-    the CSV cells, read from each dict record. A ``str`` record is already
-    in the output format (CSV lines, JSON values) and is written as is; it
-    may hold several rows, joined by the format's row separator (a newline,
-    or a comma in JSON). ``lines`` is the table. ``records`` and ``lines``
-    may be generators: only the one the format needs is consumed.
+    ``rows`` are text already in ``fmt``: table lines, CSV lines with the
+    header first, or JSON values. A row may hold several, joined by the
+    format's row separator (a newline, or a comma in JSON). JSON writes
+    ``head``'s fields and then, with a ``key``, the rows as a list under
+    that key; without one, ``head`` alone, and the rows are not consumed.
     """
     write = sys.stdout.write
-    if fmt == "json":
-        if key is None:
-            write(_json(head) + "\n")
-            return
-        texts = (
-            ",".join(chunk) if isinstance(chunk[0], str) else _json(chunk)[1:-1]
-            for chunk in _chunks(records)
-        )
+    if fmt != "json":
+        for chunk in _chunks(rows):
+            write("\n".join(chunk) + "\n")
+    elif key is None:
+        write(_json(head) + "\n")
+    else:
+        texts = map(",".join, _chunks(rows))
         # The head (an empty list under the key, cut open before its "]}") goes
-        # out with the first chunk, so records that fail first leave stdout empty.
+        # out with the first chunk, so rows that fail first leave stdout empty.
         write(_json({**head, key: []})[:-2] + next(texts, ""))
         for text in texts:
             write("," + text)
         write("]}\n")
-        return
-    if fmt == "csv":
-        rows = records if key is not None else [head]
-        lines = chain(
-            [",".join(columns)],
-            (
-                ",".join(_cell(row.get(c)) for c in columns) if isinstance(row, dict) else row
-                for row in rows
-            ),
-        )
-    for chunk in _chunks(lines):
-        write("\n".join(chunk) + "\n")
 
 
 def _run_check(args: Args) -> int:
@@ -171,19 +136,23 @@ def _run_check(args: Args) -> int:
 
 def _write_check(args: Args, report: ValidityReport) -> int:
     """Write ``check``'s record of ``report``, the validity of ``args.sequence``."""
-    seq = ",".join(map(str, args.sequence))
-    if report.valid:
-        line = f"{seq} is a valid O-sequence"
-    elif report.first_violation is not None:
-        line = f"{seq} is NOT an O-sequence: growth violation at index {report.first_violation}"
-    else:
-        line = f"{seq} is NOT an O-sequence: {report.reason}"
     head: dict[str, Any] = {"sequence": list(args.sequence), "valid": report.valid}
     if report.reason is not None:
         head["reason"] = report.reason
     if report.first_violation is not None:
         head["first_violation"] = report.first_violation
-    _render(args.fmt, head, ("sequence", "valid", "reason", "first_violation"), [line])
+    seq = ",".join(map(str, args.sequence))
+    if args.fmt == "csv":
+        violation = "" if report.first_violation is None else report.first_violation
+        cells = (seq.replace(",", " "), str(report.valid).lower(), report.reason or "", violation)
+        rows = ["sequence,valid,reason,first_violation", ",".join(map(str, cells))]
+    elif report.valid:
+        rows = [f"{seq} is a valid O-sequence"]
+    elif report.first_violation is not None:
+        rows = [f"{seq} is NOT an O-sequence: growth violation at index {report.first_violation}"]
+    else:
+        rows = [f"{seq} is NOT an O-sequence: {report.reason}"]
+    _render(args.fmt, head, rows)
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
@@ -191,7 +160,8 @@ def _run_count(args: Args) -> int:
     from .census import count_osequences
 
     count = count_osequences(args.n)
-    _render(args.fmt, {"n": args.n, "L": str(count)}, ("n", "L"), [f"L({args.n}) = {count}"])
+    rows = ["n,L", f"{args.n},{count}"] if args.fmt == "csv" else [f"L({args.n}) = {count}"]
+    _render(args.fmt, {"n": args.n, "L": str(count)}, rows)
     return EXIT_OK
 
 
@@ -204,41 +174,53 @@ def _run_enumerate(args: Args) -> int:
 
     cap = DEFAULT_STREAM_CAP if args.cap is None else args.cap
     opening, separator, closing = _SEQUENCE_ROW[args.fmt]
-    joiner = "," if args.fmt == "json" else "\n"  # between rows, as _render joins records
+    joiner = "," if args.fmt == "json" else "\n"  # between rows, as _render joins them
     # Each entry after h_0 is rendered once per run, after its separator.
     count, blocks = _osequence_blocks(
         args.n, cap, lambda x: separator + str(x), opening + "1", closing
     )
-    # One string per block: the prefix's text before each of its tails'.
-    sequences = (head + (joiner + head).join(tails) for head, tails in blocks)
-    # The rows are already in the chosen format, so lines and records are one stream.
-    _render(
-        args.fmt,
-        head={"n": args.n, "count": str(count)},
-        columns=("sequence",),
-        lines=sequences,
-        key="sequences",
-        records=sequences,
-    )
+    # One row per block: the prefix's text before each of its tails'.
+    rows = (head + (joiner + head).join(tails) for head, tails in blocks)
+    if args.fmt == "csv":
+        rows = chain(["sequence"], rows)
+    _render(args.fmt, {"n": args.n, "count": str(count)}, rows, "sequences")
     return EXIT_OK
+
+
+# How a census row is written, from (n, L(n), width of n, width of L).
+_CENSUS_ROW = {
+    "table": "L({0:>{2}}) = {1:>{3}}",
+    "csv": "{},{}",
+    "json": '{{"n":{},"L":"{}"}}',
+}
 
 
 def _run_census(args: Args) -> int:
     from .census import build_census
 
     table = build_census(args.max_n)
-    lengths = range(1, table.max_n + 1)
-    n_width = len(str(table.max_n))
-    width = len(str(table.records[table.max_n]))
-    _render(
-        args.fmt,
-        head={"max_n": table.max_n},
-        columns=("n", "L"),
-        lines=(f"L({n:>{n_width}}) = {table.records[n]:>{width}}" for n in lengths),
-        key="records",
-        records=({"n": n, "L": str(table.records[n])} for n in lengths),
-    )
+    row = _CENSUS_ROW[args.fmt].format
+    n_width, width = len(str(table.max_n)), len(str(table.records[table.max_n]))
+    rows = (row(n, table.records[n], n_width, width) for n in range(1, table.max_n + 1))
+    if args.fmt == "csv":
+        rows = chain(["n,L"], rows)
+    _render(args.fmt, {"max_n": table.max_n}, rows, "records")
     return EXIT_OK
+
+
+# How a bounds row is written: row 1, whose c2_emp is null, and then rows
+# 2..max_n, from a BoundsRecord (n, L, p(n-1), log_upper, c1_emp, c2_emp).
+# The report raises on a failed bound, so every row passes both ("yy").
+_BOUNDS_ROW = {
+    "table": ("{:>4} {:>24} {:>24} {:>12.4f} yy",) * 2,
+    "csv": ("{},{},{},{!r},{!r},", "{},{},{},{!r},{!r},{!r}"),
+    "json": (
+        '{{"n":{},"L":"{}","p_lower":"{}","log_upper":{!r},"c1_emp":{!r},"c2_emp":null,'
+        '"lower_ok":true,"upper_ok":true}}',
+        '{{"n":{},"L":"{}","p_lower":"{}","log_upper":{!r},"c1_emp":{!r},"c2_emp":{!r},'
+        '"lower_ok":true,"upper_ok":true}}',
+    ),
+}
 
 
 def _run_bounds(args: Args) -> int:
@@ -251,34 +233,20 @@ def _run_bounds(args: Args) -> int:
     # so the table, built second, never refuses here.
     census = build_census(args.max_n)
     report = build_bounds_report(census, build_partition_table(args.max_n))
-    rows = report.records
-    # The report raises on a failed bound, so every row passes both ("yy").
-    lines = chain(
-        [f"{'n':>4} {'L':>24} {'p(n-1)':>24} {'log_upper':>12} {'ok':>2}"],
-        (f"{r.n:>4} {r.count:>24} {r.lower:>24} {r.log_upper:>12.4f} yy" for r in rows),
-        [f"empirical envelope: c1 >= {report.c1_min}, c2 <= {report.c2_max}"],
-    )
-    records = (
-        {
-            "n": r.n,
-            "L": str(r.count),
-            "p_lower": str(r.lower),
-            "log_upper": r.log_upper,
-            "c1_emp": r.c1_emp,
-            "c2_emp": r.c2_emp,
-            "lower_ok": True,
-            "upper_ok": True,
-        }
-        for r in rows
-    )
-    _render(
-        args.fmt,
-        head={"max_n": rows[-1].n, "c1_min": report.c1_min, "c2_max": report.c2_max},
-        columns=("n", "L", "p_lower", "log_upper", "c1_emp", "c2_emp"),
-        lines=lines,
-        key="records",
-        records=records,
-    )
+    first, row = (template.format for template in _BOUNDS_ROW[args.fmt])
+    # The logs are of positive integers, so every float is finite, and a
+    # json float is its repr, as json.dumps writes it.
+    rows = chain([first(*report.records[0])], starmap(row, report.records[1:]))
+    if args.fmt == "table":
+        rows = chain(
+            [f"{'n':>4} {'L':>24} {'p(n-1)':>24} {'log_upper':>12} {'ok':>2}"],
+            rows,
+            [f"empirical envelope: c1 >= {report.c1_min}, c2 <= {report.c2_max}"],
+        )
+    elif args.fmt == "csv":
+        rows = chain(["n,L,p_lower,log_upper,c1_emp,c2_emp"], rows)
+    head = {"max_n": report.records[-1].n, "c1_min": report.c1_min, "c2_max": report.c2_max}
+    _render(args.fmt, head, rows, "records")
     return EXIT_OK
 
 
@@ -313,28 +281,34 @@ def _run_partitions(args: Args) -> int:
             ) from None
     table = build_partition_table(args.max_n)
 
-    # Each row is written straight to its text in the chosen format, so lines
-    # and records are one stream; a json float is its repr, as json.dumps writes it.
+    # A json float is its repr, as json.dumps writes it.
     first, row = (template.format for template in _PARTITIONS_ROW[args.fmt])
     rows = zip(range(table.limit + 1), table.p_values, table.q_values)
     lead = [first(*next(rows))]
     if args.fmt == "table":
         label = "ln(estimate)" if args.log_space else "estimate"
         lead.insert(0, f"{'n':>6} {'p':>24} {'q':>24} {label:>16} {'ratio':>10}")
+    elif args.fmt == "csv":
+        lead.insert(0, "n,p,q")
     if estimated:
         rest = (row(*r, *e) for r, e in zip(rows, _estimates(table, args.log_space)))
     else:
         rest = (row(*r) for r in rows)
-    texts = chain(lead, rest)
-    _render(
-        args.fmt,
-        head={"limit": table.limit, "log_space": args.log_space},
-        columns=("n", "p", "q"),
-        lines=texts,
-        key="records",
-        records=texts,
-    )
+    head = {"limit": table.limit, "log_space": args.log_space}
+    _render(args.fmt, head, chain(lead, rest), "records")
     return EXIT_OK
+
+
+# How a remark row is written: a degree out of the staircase window, from
+# its degree, and one in it, from (degree, t, alpha).
+_REMARK_ROW = {
+    "table": ("  degree {}: out of range", "  degree {}: t = {}, alpha = {}"),
+    "csv": ("{},false,,", "{},true,{},{}"),
+    "json": (
+        '{{"degree":{},"in_range":false}}',
+        '{{"degree":{},"in_range":true,"t":{},"alpha":{}}}',
+    ),
+}
 
 
 def _run_remark(args: Args) -> int:
@@ -347,25 +321,21 @@ def _run_remark(args: Args) -> int:
     if not report.valid:
         return _write_check(args, report)
     profile = _staircase_profile(args.sequence)
-    seq = ",".join(map(str, args.sequence))
-    decomps = [
-        {"degree": degree, "in_range": False}
-        if d is None
-        else {"degree": degree, "in_range": True, "t": d.t, "alpha": d.alpha}
+    outside, inside = _REMARK_ROW[args.fmt]
+    rows = [
+        outside.format(degree) if d is None else inside.format(degree, d.t, d.alpha)
         for degree, d in profile.decompositions
     ]
-    lines = [
-        f"sequence: {seq}",
-        f"critical index: {profile.critical_index}",
-        *(
-            f"  degree {r['degree']}: t = {r['t']}, alpha = {r['alpha']}"
-            if r["in_range"]
-            else f"  degree {r['degree']}: out of range"
-            for r in decomps
-        ),
-        "t nonincreasing: True",
-        "alpha nonincreasing on t-plateaus: True",
-    ]
+    if args.fmt == "table":
+        rows = [
+            f"sequence: {','.join(map(str, args.sequence))}",
+            f"critical index: {profile.critical_index}",
+            *rows,
+            "t nonincreasing: True",
+            "alpha nonincreasing on t-plateaus: True",
+        ]
+    elif args.fmt == "csv":
+        rows.insert(0, "degree,in_range,t,alpha")
     head = {
         "sequence": list(args.sequence),
         "critical_index": profile.critical_index,
@@ -373,7 +343,7 @@ def _run_remark(args: Args) -> int:
         "t_monotone": True,
         "alpha_monotone_within_t_plateaus": True,
     }
-    _render(args.fmt, head, ("degree", "in_range", "t", "alpha"), lines, "decompositions", decomps)
+    _render(args.fmt, head, rows, "decompositions")
     return EXIT_OK
 
 

@@ -196,9 +196,11 @@ def pseudopower(a: int, d: int) -> int:
     convention the pseudopower of 0 is 0 (the expansion is empty).
 
     The memo serves the one internal caller that asks for the same (a, d)
-    again: the prefix walk ``census.precritical_prefixes``. The census pass
-    and ``is_o_sequence`` call the same computation, ``_lift``, directly,
-    and ``bounds.staircase_decompose`` needs no lift.
+    again: the prefix walk ``census._prefix_heads``, behind both
+    ``census.precritical_prefixes`` and the ``enumerate`` stream,
+    ``census._osequence_blocks``. The census pass and ``is_o_sequence``
+    call the same computation, ``_lift``, directly, and
+    ``bounds.staircase_decompose`` needs no lift.
     """
     if d <= 0:
         raise ValueError(f"pseudopower needs degree d >= 1, got {d}")

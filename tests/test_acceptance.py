@@ -23,6 +23,11 @@ from oseq.partitions import build_partition_table, hardy_ramanujan
 UPPER_SLACK = 1e-6
 
 
+def refuse_constant(name: str):
+    """Fails a parse on NaN, Infinity or -Infinity, which json.loads accepts by default."""
+    raise ValueError(f"non-finite JSON number {name}")
+
+
 def _ok(number: int, detail: str) -> None:
     print(f"[criterion {number}] PASS {detail}")
 
@@ -179,7 +184,7 @@ def test_criterion_10_bounds_cli_contract(capsys, schema_dir):
         runs.append(captured.out)
     assert runs[0] == runs[1]
 
-    payload = json.loads(runs[0])
+    payload = json.loads(runs[0], parse_constant=refuse_constant)
     schema = json.loads((schema_dir / "bounds.schema.json").read_text(encoding="utf-8"))
     jsonschema.validate(payload, schema)
     assert payload["max_n"] == 40

@@ -28,6 +28,11 @@ from oseq.errors import TheoremViolationError
 from oseq.macaulay import HVector, pseudopower
 
 
+def refuse_constant(name: str):
+    """Fails a parse on NaN, Infinity or -Infinity, which json.loads accepts by default."""
+    raise ValueError(f"non-finite JSON number {name}")
+
+
 def test_critical_index_examples():
     assert critical_index(HVector((1,))) == 1
     assert critical_index(HVector((1, 1, 1))) == 1
@@ -281,7 +286,7 @@ def test_bounds_report_upper_bound_is_exact(partition_table):
 
 def test_bounds_payload_shape(capsys):
     assert main(["bounds", "--max-n", "10", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
     assert payload["max_n"] == 10
     assert len(payload["records"]) == 10
     rec = payload["records"][4]

@@ -43,7 +43,18 @@ from oseq.census import (
     enumerate_osequences,
     precritical_prefixes,
 )
-from oseq.cli import _read_argv, _render, build_parser, main
+from oseq.cli import (
+    _BOUNDS_ROW,
+    _CENSUS_ROW,
+    _FORMAT,
+    _PARTITIONS_ROW,
+    _REMARK_ROW,
+    _SEQUENCE_ROW,
+    _read_argv,
+    _render,
+    build_parser,
+    main,
+)
 from oseq.errors import TheoremViolationError
 from oseq.macaulay import is_o_sequence
 from oseq.partitions import DEFAULT_TABLE_LIMIT, build_partition_table
@@ -61,8 +72,13 @@ def load_schema(schema_dir, name: str) -> dict:
     return json.loads((schema_dir / f"{name}.schema.json").read_text(encoding="utf-8"))
 
 
+def refuse_constant(name: str):
+    """Fails a parse on NaN, Infinity or -Infinity, which json.loads accepts by default."""
+    raise ValueError(f"non-finite JSON number {name}")
+
+
 def check_json(schema_dir, name: str, out: str) -> dict:
-    payload = json.loads(out)
+    payload = json.loads(out, parse_constant=refuse_constant)
     jsonschema.validate(payload, load_schema(schema_dir, name))
     return payload
 
@@ -211,7 +227,7 @@ def test_enumerate_blocks_survive_chunk_boundaries(capsys, monkeypatch, fmt):
     argv = ("enumerate", "--n", "12", "--format", fmt)
     code, expected, _ = run_cli(capsys, *argv)
     assert code == 0
-    rows = json.loads(expected)["sequences"] if fmt == "json" else expected.splitlines()[fmt == "csv" :]
+    rows = json.loads(expected, parse_constant=refuse_constant)["sequences"] if fmt == "json" else expected.splitlines()[fmt == "csv" :]
     assert len(rows) == KNOWN_COUNTS[11]
     for chunk in (1, 3):
         monkeypatch.setattr("oseq.cli._CHUNK", chunk)
@@ -253,14 +269,26 @@ def test_enumerate_row_text_matches_str_per_entry(capsys, monkeypatch, fmt):
 
 
 def test_json_head_waits_for_the_first_record_but_not_for_a_missing_one(capsys):
-    def records():
-        assert capsys.readouterr().out == ""  # nothing written before the first record
+    def rows():
+        assert capsys.readouterr().out == ""  # nothing written before the first row
         yield "1"
 
-    _render("json", {"n": 1}, (), (), key="xs", records=records())
+    _render("json", {"n": 1}, rows(), key="xs")
     assert capsys.readouterr().out == '{"n":1,"xs":[1]}\n'
-    _render("json", {"n": 1}, (), (), key="xs", records=iter(()))
+    _render("json", {"n": 1}, iter(()), key="xs")
     assert capsys.readouterr().out == '{"n":1,"xs":[]}\n'
+
+
+def test_every_row_table_has_a_row_for_each_format_and_no_other():
+    formats = _FORMAT[1]["choices"]
+    for rows in (_SEQUENCE_ROW, _CENSUS_ROW, _BOUNDS_ROW, _PARTITIONS_ROW, _REMARK_ROW):
+        assert tuple(rows) == formats
+
+
+def test_the_json_checks_refuse_non_finite_numbers(schema_dir):
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_json(schema_dir, "count", f'{{"n":1,"L":{constant}}}')
 
 
 def _growth_bound(a: int, d: int) -> int:
@@ -810,6 +838,26 @@ PINNED_OUTPUTS = [
     ("remark 1 --format table", 0, "b459243c817e39a9d8a40cfa7204d8915ae64f6f7404e48e98c3f008f8b52d88"),
     ("remark 1 --format csv", 0, "63b52098bf3773249decdc67bc2b3522babf9f192af5d145f162bf90c3929d2d"),
     ("remark 1 --format json", 0, "fc931d3a9cf05efe878a17bf5de6bdc7340adb31540cfca61f8b201a7ab09f14"),
+    # recorded from the renderer that wrote dict records through a cell
+    # function and json.dumps: a valid check, a bad start (no index), a zero
+    # entry, the one-row census and bounds, and 1000 rows of bounds floats
+    ("check 1,3,4,4 --format table", 0, "814f4cda04d76f4945ecfaa72eef2aa5042654ae2d29111fe00e30500025796c"),
+    ("check 1,3,4,4 --format csv", 0, "27f6d0b86470e96f610eaddf3185e23e09ae56165cfebbefe91a4503f452c54d"),
+    ("check 1,3,4,4 --format json", 0, "e2e6dfd4ac5a3e44113f5457afadecc277455abfa949c6de141bfdd389355994"),
+    ("check 2,1 --format table", 1, "eeefd8c7c53a4801a4463b4b44b8a49eb04a8a81e21e835e66f6ba5a7242cc51"),
+    ("check 2,1 --format csv", 1, "4050cfc4dc25283f872945a8b9130689996c5076974c35b5a90f4e528619b457"),
+    ("check 2,1 --format json", 1, "2517c65c494f36056e899ae799fca7462bada6caf7320a73cb2b278a1c0d9137"),
+    ("check 1,2,0 --format table", 1, "ef95ba5d98e728c9939ac43e6d47dc34cbbdc88c09bb8090ed7abe754379bae2"),
+    ("check 1,2,0 --format csv", 1, "959879d89c7b3611e53d038d71d278ae833d48475777d509686e320e54115638"),
+    ("check 1,2,0 --format json", 1, "4f5579c2ccbf58f4f4b2a3d4d1de9c22780555a9d517ea946c1b4a28009e6638"),
+    ("bounds --max-n 1 --format table", 0, "6dd108a1e9ce7e9ea32f8cf14c563f872e62f2e0b5b2408721a4abf8530f1074"),
+    ("bounds --max-n 1 --format csv", 0, "73998a951594d87da0a8c2832734f74855af85366f965f1cf4ec7223b2a07646"),
+    ("bounds --max-n 1 --format json", 0, "e213476cb01d95550afaafe3f2edb363df76668a389f87dad4366614ab6915cb"),
+    ("census --max-n 1 --format table", 0, "b845f6d84abc033f00978933a3008dc88ef7a176b7dcc3df24f3b842aae00cc5"),
+    ("census --max-n 1 --format csv", 0, "ba02e1c1a1f04eed45e6c5380691bba2704684e11f874d4aada36e5a86aac87b"),
+    ("census --max-n 1 --format json", 0, "209a05116007a09a8690fecd7cec831ba5751ec8e33b65467d6836aa105bea43"),
+    ("bounds --max-n 1000 --format csv", 0, "d207fa1deac48f789eb56b69c03112a0c7c1b4f069a7964c4fc4397b563849ab"),
+    ("bounds --max-n 1000 --format json", 0, "ce31a4e4959bedd8609d546df9a5067f8ee4bd4f2b60a2bdc97ff602c892e8c2"),
 ]
 
 
