@@ -3,28 +3,28 @@
 Subcommands: check, count, enumerate, census, bounds, partitions, remark.
 Output formats: table (human), csv, json (machine; big integers as decimal
 strings, schemas shipped under schemas/). Each runner writes every row
-once, as text in the chosen format, and ``_render`` only frames the rows:
-it writes them in chunks, and in json after the head's fields, as a list
-under one key. Exit codes: 0 success; 1 invalid input sequence (``check``,
-and ``remark``, which then prints what ``check`` prints); 2 resource-limit
-refusal, bad usage, or output that cannot be written (a full disk, or stdout
-closed by the caller with ``>&-``: one ``error: cannot write output:`` line);
-3 theorem-backed invariant violation, such as a failed bound or an entry
-outside 1..n built by the enumerate walk (always a bug); 141 stdout
-closed by its reader before the output ended (``| head``), with nothing on
-stderr. A closed or unwritable stderr loses its line, never the exit code.
-``census``, ``macaulay``, ``bounds``, ``partitions`` and ``json`` are
-imported by the runners that use them, so a job loads only what it runs:
-``partitions`` loads neither ``census`` nor ``macaulay``, and ``check`` does
-not load ``census``. One table, ``_COMMANDS``, declares every subcommand's
-arguments. A well-formed command line is read from it directly, so it loads
-neither ``argparse`` nor the ``gettext`` and ``locale`` that argparse
-brings; ``argparse`` builds its parser from the same table only for help
-and for a command line that the direct reader leaves to it, such as a usage
-error. Only a refused sequence entry loads ``re``. Importing the module
-registers ``gc.freeze`` as an exit hook, so that a process that ran the CLI
-skips the interpreter's final full collections; ``main`` itself leaves the
-heap as it finds it.
+once, as text in the chosen format, and its json head's fields as text too;
+``_render`` only frames them: it writes the rows in chunks, and in json
+after the head, as a list under one key. Exit codes: 0 success; 1 invalid
+input sequence (``check``, and ``remark``, which then prints what ``check``
+prints); 2 resource-limit refusal, bad usage, or output that cannot be
+written (a full disk, or stdout closed by the caller with ``>&-``: one
+``error: cannot write output:`` line); 3 theorem-backed invariant
+violation, such as a failed bound or an entry outside 1..n built by the
+enumerate walk (always a bug); 141 stdout closed by its reader before the
+output ended (``| head``), with nothing on stderr. A closed or unwritable
+stderr loses its line, never the exit code. ``census``, ``macaulay``,
+``bounds`` and ``partitions`` are imported by the runners that use them, so
+a job loads only what it runs: ``partitions`` loads neither ``census`` nor
+``macaulay``, and ``check`` does not load ``census``. One table,
+``_COMMANDS``, declares every subcommand's arguments. A well-formed command
+line is read from it directly, so it loads neither ``argparse`` nor the
+``gettext`` and ``locale`` that argparse brings; ``argparse`` builds its
+parser from the same table only for help and for a command line that the
+direct reader leaves to it, such as a usage error. Only a refused sequence
+entry loads ``re``. Importing the module registers ``gc.freeze`` as an exit
+hook, so that a process that ran the CLI skips the interpreter's final full
+collections; ``main`` itself leaves the heap as it finds it.
 """
 
 from __future__ import annotations
@@ -97,32 +97,30 @@ def _chunks(items: Iterable[str]) -> Iterator[list[str]]:
         yield chunk
 
 
-def _json(value: Any) -> str:
-    import json
+def _null(value: int | float | None) -> str:
+    """A JSON number that may be missing: its repr, or null."""
+    return "null" if value is None else repr(value)
 
-    return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
-
-def _render(fmt: str, head: dict[str, Any], rows: Iterable[str], key: str | None = None) -> None:
+def _render(fmt: str, head: str, rows: Iterable[str], key: str | None = None) -> None:
     """Write what one command prints to stdout as a table, csv or json.
 
     ``rows`` are text already in ``fmt``: table lines, CSV lines with the
     header first, or JSON values. A row may hold several, joined by the
     format's row separator (a newline, or a comma in JSON). JSON writes
-    ``head``'s fields and then, with a ``key``, the rows as a list under
-    that key; without one, ``head`` alone, and the rows are not consumed.
+    ``head``, its fields as JSON text, then, with a ``key``, the rows as a
+    list under that key; without one, ``head`` alone, leaving rows unread.
     """
     write = sys.stdout.write
     if fmt != "json":
         for chunk in _chunks(rows):
             write("\n".join(chunk) + "\n")
     elif key is None:
-        write(_json(head) + "\n")
+        write("{" + head + "}\n")
     else:
         texts = map(",".join, _chunks(rows))
-        # The head (an empty list under the key, cut open before its "]}") goes
-        # out with the first chunk, so rows that fail first leave stdout empty.
-        write(_json({**head, key: []})[:-2] + next(texts, ""))
+        # The head goes out with the first chunk, so rows that fail first leave stdout empty.
+        write(f'{{{head},"{key}":[' + next(texts, ""))
         for text in texts:
             write("," + text)
         write("]}\n")
@@ -136,12 +134,13 @@ def _run_check(args: Args) -> int:
 
 def _write_check(args: Args, report: ValidityReport) -> int:
     """Write ``check``'s record of ``report``, the validity of ``args.sequence``."""
-    head: dict[str, Any] = {"sequence": list(args.sequence), "valid": report.valid}
-    if report.reason is not None:
-        head["reason"] = report.reason
-    if report.first_violation is not None:
-        head["first_violation"] = report.first_violation
     seq = ",".join(map(str, args.sequence))
+    # Every head's strings are decimal digits or a REASON_* constant: none needs escaping.
+    head = f'"sequence":[{seq}],"valid":{str(report.valid).lower()}'
+    if report.reason is not None:
+        head += f',"reason":"{report.reason}"'
+    if report.first_violation is not None:
+        head += f',"first_violation":{report.first_violation}'
     if args.fmt == "csv":
         violation = "" if report.first_violation is None else report.first_violation
         cells = (seq.replace(",", " "), str(report.valid).lower(), report.reason or "", violation)
@@ -161,7 +160,7 @@ def _run_count(args: Args) -> int:
 
     count = count_osequences(args.n)
     rows = ["n,L", f"{args.n},{count}"] if args.fmt == "csv" else [f"L({args.n}) = {count}"]
-    _render(args.fmt, {"n": args.n, "L": str(count)}, rows)
+    _render(args.fmt, f'"n":{args.n},"L":"{count}"', rows)
     return EXIT_OK
 
 
@@ -183,7 +182,7 @@ def _run_enumerate(args: Args) -> int:
     rows = (head + (joiner + head).join(tails) for head, tails in blocks)
     if args.fmt == "csv":
         rows = chain(["sequence"], rows)
-    _render(args.fmt, {"n": args.n, "count": str(count)}, rows, "sequences")
+    _render(args.fmt, f'"n":{args.n},"count":"{count}"', rows, "sequences")
     return EXIT_OK
 
 
@@ -204,7 +203,7 @@ def _run_census(args: Args) -> int:
     rows = (row(n, table.records[n], n_width, width) for n in range(1, table.max_n + 1))
     if args.fmt == "csv":
         rows = chain(["n,L"], rows)
-    _render(args.fmt, {"max_n": table.max_n}, rows, "records")
+    _render(args.fmt, f'"max_n":{table.max_n}', rows, "records")
     return EXIT_OK
 
 
@@ -235,17 +234,19 @@ def _run_bounds(args: Args) -> int:
     report = build_bounds_report(census, build_partition_table(args.max_n))
     first, row = (template.format for template in _BOUNDS_ROW[args.fmt])
     # The logs are of positive integers, so every float is finite, and a
-    # json float is its repr, as json.dumps writes it.
+    # json float is its repr.
     rows = chain([first(*report.records[0])], starmap(row, report.records[1:]))
+    c1_min, c2_max = _null(report.c1_min), _null(report.c2_max)
+    envelope = f"c1 >= {c1_min}, c2 <= {c2_max}" if args.max_n >= 3 else "none (needs max-n >= 3)"
     if args.fmt == "table":
         rows = chain(
             [f"{'n':>4} {'L':>24} {'p(n-1)':>24} {'log_upper':>12} {'ok':>2}"],
             rows,
-            [f"empirical envelope: c1 >= {report.c1_min}, c2 <= {report.c2_max}"],
+            [f"empirical envelope: {envelope}"],
         )
     elif args.fmt == "csv":
         rows = chain(["n,L,p_lower,log_upper,c1_emp,c2_emp"], rows)
-    head = {"max_n": report.records[-1].n, "c1_min": report.c1_min, "c2_max": report.c2_max}
+    head = f'"max_n":{report.records[-1].n},"c1_min":{c1_min},"c2_max":{c2_max}'
     _render(args.fmt, head, rows, "records")
     return EXIT_OK
 
@@ -281,7 +282,7 @@ def _run_partitions(args: Args) -> int:
             ) from None
     table = build_partition_table(args.max_n)
 
-    # A json float is its repr, as json.dumps writes it.
+    # A json float is its repr; an estimate that overflows was refused above.
     first, row = (template.format for template in _PARTITIONS_ROW[args.fmt])
     rows = zip(range(table.limit + 1), table.p_values, table.q_values)
     lead = [first(*next(rows))]
@@ -294,7 +295,7 @@ def _run_partitions(args: Args) -> int:
         rest = (row(*r, *e) for r, e in zip(rows, _estimates(table, args.log_space)))
     else:
         rest = (row(*r) for r in rows)
-    head = {"limit": table.limit, "log_space": args.log_space}
+    head = f'"limit":{table.limit},"log_space":{str(args.log_space).lower()}'
     _render(args.fmt, head, chain(lead, rest), "records")
     return EXIT_OK
 
@@ -336,13 +337,12 @@ def _run_remark(args: Args) -> int:
         ]
     elif args.fmt == "csv":
         rows.insert(0, "degree,in_range,t,alpha")
-    head = {
-        "sequence": list(args.sequence),
-        "critical_index": profile.critical_index,
-        "first_applicable_degree": profile.first_applicable_degree,
-        "t_monotone": True,
-        "alpha_monotone_within_t_plateaus": True,
-    }
+    head = (
+        f'"sequence":[{",".join(map(str, args.sequence))}],'
+        f'"critical_index":{profile.critical_index},'
+        f'"first_applicable_degree":{_null(profile.first_applicable_degree)},'
+        '"t_monotone":true,"alpha_monotone_within_t_plateaus":true'
+    )
     _render(args.fmt, head, rows, "decompositions")
     return EXIT_OK
 

@@ -240,6 +240,81 @@ def test_growth_layer_oracle_through_600(census_to_2000):
     assert growth_layer_oracle(600)[1:] == [census_to_2000.records[n] for n in range(1, 601)]
 
 
+def ladder_width(need: int) -> int:
+    """The smallest of 1, 2, 3, 4, 6, 8, 12, 16, 24, ... bytes that is >= need."""
+    width = 1
+    while width < need:
+        width += max(1, width // 2) if width & (width - 1) == 0 else width // 3
+    return width
+
+
+def repack(row: int, length: int, old: int, new: int) -> int:
+    """A packed row of ``length`` fields, moved from ``old`` to ``new`` bytes a field."""
+    source = row.to_bytes(length * old, "little")
+    target = bytearray(length * new)
+    for k in range(min(old, new)):  # narrowing drops only zero bytes: new is wide enough
+        target[k::new] = source[k::old]
+    return int.from_bytes(target, "little")
+
+
+def packed_growth_layer_oracle(limit: int) -> list[int]:
+    """L(0..limit) by growth_layer_oracle's walk, with each row one int.
+
+    A row is packed with ``width`` bytes a field, little-endian: field k,
+    bytes [k * width, (k + 1) * width), counts the sum limit - k. Rows are
+    thus right-aligned at the limit, so a sum of rows adds them as ints, and
+    shifting a row right by y fields adds y to every entry sum and drops the
+    sums past the limit. A row keeps its length beside it: one more than the
+    index of its top field, which is never zero.
+
+    A carry between fields cannot be seen afterwards, so the width is
+    proven, not guessed. Each row of layer i + 1 is a snapshot of layer i's
+    running sum, which only grows, so no field of layer i + 1's running sum
+    exceeds (rows of layer i + 1) * (largest field of layer i's final sum).
+    The width is that bound's byte count, taken from the ladder, and the
+    rows are re-packed whenever it changes. Nothing is shared with oseq: the
+    lift is the linear search above, and the packing is this test's own.
+    """
+    counts = [0] * (limit + 1)
+    counts[1] = 1  # the sequence (1): layer 0, whose one field is 1
+    width = ladder_width((1 + (limit - 1).bit_length() + 7) // 8)  # and layer 1 has limit - 1 rows
+    layer = {h: (1 << 8 * width * (limit - 1 - h), limit - h) for h in range(1, limit)}
+    degree = 1
+    while layer:
+        following: dict[int, tuple[int, int]] = {}
+        above, length = 0, 0  # the sum of the rows of the entries >= h, and its length
+        present = sorted(layer, reverse=True)
+        for h, smaller in itertools.zip_longest(present, present[1:]):
+            row, row_length = layer[h]
+            above += row
+            length = max(length, row_length)
+            low = linear_lift(smaller, degree) if smaller else 0
+            # field length - 1 holds the smallest sum, limit - (length - 1), so y <= length - 1
+            for y in range(low + 1, min(linear_lift(h, degree), length - 1) + 1):
+                following[y] = (above >> 8 * width * y, length - y)
+        fields = above.to_bytes(length * width, "little")
+        starts = range(0, len(fields), width)
+        ways = [int.from_bytes(fields[k : k + width], "little") for k in starts]
+        for k, count in enumerate(ways):  # every row of the layer
+            counts[limit - k] += count
+        need = (max(ways).bit_length() + len(following).bit_length() + 7) // 8
+        if ladder_width(need) != width:
+            old, width = width, ladder_width(need)
+            following = {y: (repack(row, n, old, width), n) for y, (row, n) in following.items()}
+        layer = following
+        degree += 1
+    return counts
+
+
+def test_packed_growth_layer_oracle_through_2000():
+    # The split-free oracle over the pinned range, which the list oracle is
+    # too slow to reach; at small limits it must equal the list oracle.
+    for limit in (2, 3, 10, 60):
+        assert packed_growth_layer_oracle(limit) == growth_layer_oracle(limit), limit
+    digits = ",".join(map(str, packed_growth_layer_oracle(2000)[1:]))
+    assert hashlib.sha256(digits.encode()).hexdigest() == GOLDEN_L_1_TO_2000_SHA256
+
+
 def test_pass_prunes_against_its_own_limit(census_to_2000):
     # A pass to N stops its prefix rows at sum N, so a pass to n must agree
     # with the pinned pass wherever the two cut differently: every small n,

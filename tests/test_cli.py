@@ -273,10 +273,14 @@ def test_json_head_waits_for_the_first_record_but_not_for_a_missing_one(capsys):
         assert capsys.readouterr().out == ""  # nothing written before the first row
         yield "1"
 
-    _render("json", {"n": 1}, rows(), key="xs")
+    _render("json", '"n":1', rows(), key="xs")
     assert capsys.readouterr().out == '{"n":1,"xs":[1]}\n'
-    _render("json", {"n": 1}, iter(()), key="xs")
+    _render("json", '"n":1', iter(()), key="xs")
     assert capsys.readouterr().out == '{"n":1,"xs":[]}\n'
+    unread = iter(["1"])
+    _render("json", '"n":1,"valid":true', unread)  # without a key, the head alone
+    assert capsys.readouterr().out == '{"n":1,"valid":true}\n'
+    assert list(unread) == ["1"]
 
 
 def test_every_row_table_has_a_row_for_each_format_and_no_other():
@@ -430,7 +434,10 @@ def test_bounds_csv_header(capsys):
 def test_bounds_table_envelope_line(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--max-n", "10")
     assert code == 0
-    assert "empirical envelope" in out.splitlines()[-1]
+    assert out.splitlines()[-1].startswith("empirical envelope: c1 >= ")
+    for max_n in ("1", "2"):  # the envelope is taken over n >= 3
+        code, out, _ = run_cli(capsys, "bounds", "--max-n", max_n)
+        assert (code, out.splitlines()[-1]) == (0, "empirical envelope: none (needs max-n >= 3)")
 
 
 def test_theorem_violation_exits_three(capsys, monkeypatch):
@@ -832,7 +839,6 @@ PINNED_OUTPUTS = [
     ("remark 1,1,2 --format json", 1, "174f09ca3761e5f0c76d6883334fefaf6be3fec57b36a285e41407693a1d7451"),
     # recorded from the records that stored the bound and staircase flags:
     # no envelope (n < 3), a null c2_emp (n = 1) and an empty staircase window
-    ("bounds --max-n 2 --format table", 0, "ffea2b337b0c9e035fee995e7abc025b1b3c8d64857fb9363a747d238b252ed6"),
     ("bounds --max-n 2 --format csv", 0, "6f57d8f518dc24adb80bc310fee375a57d1aa67ea365b1fb682dec6a76cdb4f3"),
     ("bounds --max-n 2 --format json", 0, "0f59e36e88c9148934ca69043b4fd4844afb4a21fc8cb3719d1ecd945d5f7f40"),
     ("remark 1 --format table", 0, "b459243c817e39a9d8a40cfa7204d8915ae64f6f7404e48e98c3f008f8b52d88"),
@@ -850,7 +856,6 @@ PINNED_OUTPUTS = [
     ("check 1,2,0 --format table", 1, "ef95ba5d98e728c9939ac43e6d47dc34cbbdc88c09bb8090ed7abe754379bae2"),
     ("check 1,2,0 --format csv", 1, "959879d89c7b3611e53d038d71d278ae833d48475777d509686e320e54115638"),
     ("check 1,2,0 --format json", 1, "4f5579c2ccbf58f4f4b2a3d4d1de9c22780555a9d517ea946c1b4a28009e6638"),
-    ("bounds --max-n 1 --format table", 0, "6dd108a1e9ce7e9ea32f8cf14c563f872e62f2e0b5b2408721a4abf8530f1074"),
     ("bounds --max-n 1 --format csv", 0, "73998a951594d87da0a8c2832734f74855af85366f965f1cf4ec7223b2a07646"),
     ("bounds --max-n 1 --format json", 0, "e213476cb01d95550afaafe3f2edb363df76668a389f87dad4366614ab6915cb"),
     ("census --max-n 1 --format table", 0, "b845f6d84abc033f00978933a3008dc88ef7a176b7dcc3df24f3b842aae00cc5"),
@@ -858,6 +863,10 @@ PINNED_OUTPUTS = [
     ("census --max-n 1 --format json", 0, "209a05116007a09a8690fecd7cec831ba5751ec8e33b65467d6836aa105bea43"),
     ("bounds --max-n 1000 --format csv", 0, "d207fa1deac48f789eb56b69c03112a0c7c1b4f069a7964c4fc4397b563849ab"),
     ("bounds --max-n 1000 --format json", 0, "ce31a4e4959bedd8609d546df9a5067f8ee4bd4f2b60a2bdc97ff602c892e8c2"),
+    # re-pinned when the table without an envelope stopped printing None:
+    # the rows are the old bytes, and only the envelope line changed
+    ("bounds --max-n 2 --format table", 0, "9e0694300261430650642aebc2ce74b0af702a41e619e8d2ef2089219d9778e9"),
+    ("bounds --max-n 1 --format table", 0, "11bf35fbe370ecb891bf116a57dd17f6aac2037ee7d7d10dd91497f69d3fd2ea"),
 ]
 
 
@@ -1109,11 +1118,11 @@ JOB_LOADS = {
     ("count", "--n", "5"): ["oseq.census", "oseq.macaulay"],
     ("enumerate", "--n", "5"): ["oseq.census", "oseq.macaulay"],
     ("partitions", "--max-n", "5", "--format", "csv"): ["oseq.partitions"],
-    ("partitions", "--max-n", "5", "--format", "json"): ["json", "oseq.partitions"],
+    ("partitions", "--max-n", "5", "--format", "json"): ["oseq.partitions"],
     ("census", "--max-n", "5"): ["oseq.census", "oseq.macaulay"],
     ("bounds", "--max-n", "5"): ["oseq.bounds", "oseq.census", "oseq.macaulay", "oseq.partitions"],
     ("remark", "1,3,4,4"): ["oseq.bounds", "oseq.macaulay"],
-    ("enumerate", "--n", "5", "--format", "json"): ["json", "oseq.census", "oseq.macaulay"],
+    ("enumerate", "--n", "5", "--format", "json"): ["oseq.census", "oseq.macaulay"],
 }
 
 
@@ -1141,13 +1150,13 @@ def test_remark_sweep_leaves_out_partitions():
 
 
 # site can load re and typing itself (a .pth file may import them), which would
-# hide what the package loads; so these children run without site. json's
-# decoder imports re, so a job that writes json loads it.
-@pytest.mark.parametrize("argv", [argv for argv, loads in JOB_LOADS.items() if "json" not in loads])
+# hide what the package loads; so these children run without site.
+@pytest.mark.parametrize("argv", list(JOB_LOADS))
 def test_well_formed_commands_load_neither_re_nor_typing(argv):
     probe = (
         "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print(sorted({'re', 'typing'} & set(sys.modules)), file=sys.stderr))\n"
+        "atexit.register(lambda: print(sorted({'json', 're', 'typing'} & set(sys.modules)),"
+        " file=sys.stderr))\n"
     )
     done = run_python(probe + CLI_JOB, *argv, site=False)
     assert (done.returncode, done.stderr) == (0, "[]\n")
