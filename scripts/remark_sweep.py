@@ -23,7 +23,6 @@ script names the prefix or n on stderr and exits 3.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import sys
@@ -33,28 +32,54 @@ from oseq.census import CensusCounter, _fold_tails, precritical_prefixes
 from oseq.errors import ResourceLimitError
 from oseq.macaulay import _canonical_fault
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without loading typing
+if TYPE_CHECKING:  # annotations only: argparse loads for help and usage errors
+    import argparse
+
 
 def _bug(message: str) -> int:
     print(f"remark_sweep: {message}", file=sys.stderr)
     return 3
 
 
-def main() -> int:
+def _parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=12, dest="max_n")
-    args = parser.parse_args()
-    if args.max_n < 0:
-        parser.error("--max-n must be >= 0")
+    return parser
+
+
+def _read_max_n(argv: list[str]) -> int | None:
+    """--max-n from ``[]`` or ``["--max-n", digits]``, as argparse reads it; None
+    for any other command line, which argparse reads or refuses itself."""
+    if not argv:
+        return 12
+    if len(argv) == 2 and argv[0] == "--max-n" and argv[1].isascii() and argv[1].isdigit():
+        try:
+            return int(argv[1])
+        except ValueError:  # over the digit limit: argparse names the bad value
+            pass
+    return None
+
+
+def main() -> int:
+    max_n = _read_max_n(sys.argv[1:])
+    if max_n is None:
+        parser = _parser()
+        max_n = parser.parse_args().max_n
+        if max_n < 0:
+            parser.error("--max-n must be >= 0")
 
     counter = CensusCounter()
     try:
-        counter.count(args.max_n)  # one pass through --max-n; the loop below reads it back
+        counter.count(max_n)  # one pass through --max-n; the loop below reads it back
     except ResourceLimitError as exc:
-        parser.error(str(exc))
+        _parser().error(str(exc))
     rows: list[list[int]] = []  # rows[j - 1][s] = N_j(s)
     # decomps[j]: the decomposition of the last entry of the current length-j prefix
     decomps: list[StaircaseDecomposition | None] = [None]
-    for prefix in precritical_prefixes(args.max_n):
+    for prefix in precritical_prefixes(max_n):
         if fault := _canonical_fault(prefix):
             return _bug(f"the prefix {prefix} is not in canonical form ({fault})")
         j, s = len(prefix), sum(prefix)
@@ -66,9 +91,9 @@ def main() -> int:
             return _bug(f"the prefix {prefix} breaks the prefix bound j^2 < 2s")
         decomps.append(d)
         if len(rows) < j:  # preorder: the first prefix of length j follows one of j - 1
-            rows.append([0] * (args.max_n + 1))
+            rows.append([0] * (max_n + 1))
         rows[j - 1][s] += 1
-    totals = _fold_tails(rows, args.max_n)
+    totals = _fold_tails(rows, max_n)
 
     header = (
         f"{'n':>3} {'L(n)':>8} {'tail ok':>8} {'prefix ok':>9} "
@@ -76,7 +101,7 @@ def main() -> int:
     )
     print(header)
     ok = "100.0%"  # every sequence passed every check, or the loop has returned
-    for n in range(1, args.max_n + 1):
+    for n in range(1, max_n + 1):
         total = totals[n]
         if total != counter.count(n):
             return _bug(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import add, sub
+from operator import sub
 
 from .errors import ResourceLimitError
 
@@ -29,12 +29,11 @@ __all__ = [
 
 DEFAULT_TABLE_LIMIT = 100_000
 
-# The most values of n per block of p, and of half indices per block of q.
-# Blocks double up to these, so none of p's is longer than its start. p ran
-# slower with 16, within 3 % at 64-256; q's whole-table passes peaked at
-# 58.5 MiB at 100 000, against 42.0 MiB in blocks (2-CPU x86, Python 3.11.7).
-_P_BLOCK = 128
-_Q_BLOCK = 1024
+# Values of n per block of p, and half indices per block of q. p ran slower
+# with 16, within 3 % at 64-256. q holds one block of sums at a time: whole-
+# table passes peaked at 58.5 MiB at 100 000, against 40.9-41.0 MiB for the
+# whole run in these blocks (2-CPU x86, Python 3.11.7).
+_BLOCK = 128
 
 
 class PartitionTable(namedtuple("PartitionTable", "limit p_values q_values")):
@@ -67,9 +66,11 @@ def build_partition_table(limit: int) -> PartitionTable:
         q(n) = sum over T_k <= n with T_k = n (mod 2) of p((n - T_k) / 2),
 
     213 174 additions at 6000, against 351 868 signed ones by Q(x) = P(x)
-    E(x^2), E the pentagonal series. Each block of p sums the offsets that
-    read only finished values by one C-level ``map(sum, zip(...))`` per
-    sign and runs the rest n by n; q follows p, one such sum per block.
+    E(x^2), E the pentagonal series. p sits after ``_BLOCK`` zeros that
+    stand for p at negative n, and both tables fill in blocks of ``_BLOCK``.
+    A block of p sums each offset g >= ``_BLOCK``, which reads only finished
+    values, by one C-level ``map(sum, zip(...))`` per sign and runs the
+    smaller g n by n; a block of q is one such sum over its shifts.
 
     Refuses limits above ``DEFAULT_TABLE_LIMIT``.
     """
@@ -84,27 +85,25 @@ def build_partition_table(limit: int) -> PartitionTable:
         pentagonal += ((g, 1 - k % 2), (g + k, 1 - k % 2))
         k += 1
 
-    p = [1] + [0] * limit
-    start = 1
-    while start <= limit:
-        size = min(start, _P_BLOCK)
-        stop = min(start + size, limit + 1)
+    # p(n) is p[_BLOCK + n]; the zeros before it stand for p at negative n. No
+    # slice below starts under index 0, where Python would wrap it silently: a
+    # block of p reads p[start - g:] with start - g >= 1, since g < stop - _BLOCK
+    # <= start, and a block of q reads p[_BLOCK + lo - s:] with s < hi <= lo +
+    # _BLOCK.
+    p = [0] * _BLOCK + [1] + [0] * limit
+    for start in range(_BLOCK + 1, _BLOCK + limit + 1, _BLOCK):
+        stop = min(start + _BLOCK, _BLOCK + limit + 1)
         near: tuple[list[int], list[int]] = ([], [])
-        finished: tuple[list[list[int]], list[list[int]]] = ([], [])
-        inside = []
+        # p[start:stop], all zeros, gives each sign's sum at least one column.
+        finished = ([p[start:stop]], [p[start:stop]])
         for g, sign in pentagonal:
-            if g >= stop:
+            if g >= stop - _BLOCK:  # reads only the zeros before p(0)
                 break
-            if g < size:
+            if g < _BLOCK:
                 near[sign].append(g)
-            elif g <= start:  # reads only finished values
+            else:  # reads only values finished before the block
                 finished[sign].append(p[start - g : stop - g])
-            else:  # starts inside the block, reading p(0..stop - g - 1), all finished
-                inside.append((g, (add, sub)[sign]))
-        if any(finished):  # p[start:stop] still holds zeros, so a sign may have no slice
-            p[start:stop] = map(sub, *[map(sum, zip(p[start:stop], *cols)) for cols in finished])
-        for g, op in inside:
-            p[g:stop] = map(op, p[g:stop], p[: stop - g])
+        p[start:stop] = map(sub, *[map(sum, zip(*cols)) for cols in finished])
         for n in range(start, stop):
             total = p[n]
             for g in near[0]:
@@ -112,7 +111,6 @@ def build_partition_table(limit: int) -> PartitionTable:
             for g in near[1]:
                 total -= p[n - g]
             p[n] = total
-        start = stop
 
     triangular = [k * (k + 1) // 2 for k in range((math.isqrt(8 * limit + 1) + 1) // 2)]
     q = [0] * (limit + 1)
@@ -120,17 +118,13 @@ def build_partition_table(limit: int) -> PartitionTable:
         # q(2i + r) = sum of p(i - s) over the shifts s = (T_k - r) / 2
         shifts = [(t - r) // 2 for t in triangular if t % 2 == r]
         half: list[int] = []
-        lo, length = 0, (limit - r) // 2 + 1
-        while lo < length:
-            hi = min(2 * lo or 1, lo + _Q_BLOCK, length)
-            block = list(map(sum, zip(*[p[lo - s : hi - s] for s in shifts if s <= lo])))
-            for s in shifts:
-                if lo < s < hi:
-                    block[s - lo :] = map(add, block[s - lo :], p[: hi - s])
-            half += block
-            lo = hi
+        length = (limit - r) // 2 + 1
+        for lo in range(0, length, _BLOCK):
+            hi = min(lo + _BLOCK, length)
+            half += map(sum, zip(*[p[_BLOCK + lo - s : _BLOCK + hi - s] for s in shifts if s < hi]))
         q[r::2] = half
 
+    del p[:_BLOCK]  # in place: a slice p[_BLOCK:] would copy the table once more
     return PartitionTable(limit=limit, p_values=tuple(p), q_values=tuple(q))
 
 

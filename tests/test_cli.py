@@ -1144,9 +1144,15 @@ def test_help_and_usage_errors_load_argparse(argv, code):
 SWEEP_JOB = f"runpy.run_path({str(SWEEP_PATH)!r}, run_name='__main__')"
 
 
-def test_remark_sweep_leaves_out_partitions():
-    loaded = ["argparse", "locale", "oseq.bounds", "oseq.census", "oseq.macaulay"]
-    assert loaded_after(SWEEP_JOB, "--max-n", "5") == (0, loaded)
+# A well-formed sweep line loads no argparse; --help builds the parser.
+@pytest.mark.parametrize(
+    ("argv", "argparse_loaded"),
+    [((), []), (("--max-n", "5"), []), (("--help",), ["argparse", "locale"])],
+    ids=["default", "max-n", "help"],
+)
+def test_remark_sweep_leaves_out_partitions(argv, argparse_loaded):
+    loaded = argparse_loaded + ["oseq.bounds", "oseq.census", "oseq.macaulay"]
+    assert loaded_after(SWEEP_JOB, *argv) == (0, loaded)
 
 
 # site can load re and typing itself (a .pth file may import them), which would

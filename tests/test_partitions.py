@@ -209,14 +209,15 @@ def test_table_invariants(partition_table):
 
 @pytest.mark.parametrize(
     "limit",
-    [0, 1, 2, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 2047, 2048, 2049, 2050, 5000],
+    [0, 1, 2, 127, 128, 129, 254, 255, 256, 257, 383, 384, 385, 510, 511, 512, 513, 5000],
 )
 def test_block_edges_match_the_full_table(table_100000, limit):
-    # p's blocks of n end at the powers of two up to 128, then at its
-    # multiples; q's blocks of half indices i, for q(2i) and q(2i + 1), at the
-    # powers of two up to 1024, then at its multiples, so i = 1024 is first
-    # reached at 2048 (even n) and 2049 (odd n). A table that ends on, just
-    # before or just after an edge is the full one's prefix.
+    # Both tables fill in blocks of 128. p's blocks of n end at the multiples
+    # of 128. q's blocks of half indices i, for q(2i) and q(2i + 1), end there
+    # too, so the block that starts at i = 128k is first reached at n = 256k
+    # (even n) and 256k + 1 (odd n), and the one before it ends at 256k - 2
+    # and 256k - 1. A table that ends on, just before or just after an edge
+    # is the full one's prefix.
     assert build_partition_table(limit) == (
         limit,
         table_100000.p_values[: limit + 1],
