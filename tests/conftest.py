@@ -1,9 +1,8 @@
 """Shared fixtures.
 
-The partition table and the census counter are the two expensive objects in
-the suite, so both are built once per session and handed out read-only. The
-generate-and-test oracle is built once too, for the tests that check the
-counter and the enumeration against it.
+The partition table and the census to 60 are built once per session and
+handed out read-only. The generate-and-test oracle is built once too, for the
+tests that check the counter and the enumeration against it.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import pathlib
 import pytest
 
 import oseq.macaulay
-from oseq.census import CensusCounter, build_census
+from oseq.census import build_census
 from oseq.macaulay import is_o_sequence
 from oseq.partitions import build_partition_table
 
@@ -23,11 +22,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 @pytest.fixture(scope="session")
 def partition_table():
     return build_partition_table(500)
-
-
-@pytest.fixture(scope="session")
-def census_counter():
-    return CensusCounter()
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ import time
 import jsonschema
 
 from oseq.bounds import check_prefix_bound, staircase_decompose, verify_tail_partition
-from oseq.census import enumerate_osequences
+from oseq.census import count_osequences, enumerate_osequences
 from oseq.cli import main
 from oseq.macaulay import is_o_sequence, macaulay_expand, pseudopower
 from oseq.partitions import build_partition_table, hardy_ramanujan
@@ -32,19 +32,19 @@ def _ok(number: int, detail: str) -> None:
     print(f"[criterion {number}] PASS {detail}")
 
 
-def test_criterion_01_counter_matches_brute_force(census_counter, filtered_compositions):
+def test_criterion_01_counter_matches_brute_force(filtered_compositions):
     started = time.monotonic()
     for n in range(1, 13):
-        assert census_counter.count(n) == len(filtered_compositions[n]), n
+        assert count_osequences(n) == len(filtered_compositions[n]), n
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     _ok(1, f"prefix-and-tail count == brute force for n = 1..12 in {elapsed:.2f}s")
 
 
-def test_criterion_02_small_counts_against_oracle(census_counter, filtered_compositions):
+def test_criterion_02_small_counts_against_oracle(filtered_compositions):
     oracle = [len(filtered_compositions[n]) for n in range(1, 6)]
     assert oracle == [1, 1, 2, 3, 5]
-    assert [census_counter.count(n) for n in range(1, 6)] == [1, 1, 2, 3, 5]
+    assert [count_osequences(n) for n in range(1, 6)] == [1, 1, 2, 3, 5]
     _ok(2, "L(1..5) = (1, 1, 2, 3, 5), generate-and-test oracle agrees")
 
 
@@ -85,14 +85,14 @@ def test_criterion_06_asymptotic_ratio_window():
     _ok(6, f"estimate ratio in [0.85, 1.05] on 100..2000, ratio(2000) = {ratios[2000]:.4f}")
 
 
-def test_criterion_07_structure_sweep(census_counter):
+def test_criterion_07_structure_sweep():
     checked = 0
     for n in range(1, 13):
         for h in enumerate_osequences(n):
             assert verify_tail_partition(h), tuple(h)
             assert check_prefix_bound(h), tuple(h)
             checked += 1
-    assert checked == sum(census_counter.count(n) for n in range(1, 13))
+    assert checked == sum(count_osequences(n) for n in range(1, 13))
     _ok(7, f"tail nonincreasing and prefix bound hold for all {checked} sequences, n <= 12")
 
 

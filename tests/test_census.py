@@ -48,14 +48,14 @@ def test_small_counts():
     assert [count_osequences(n) for n in range(1, 6)] == [1, 1, 2, 3, 5]
 
 
-def test_known_counts_through_twelve(census_counter):
-    assert [census_counter.count(n) for n in range(1, 13)] == KNOWN_COUNTS
-    assert census_counter.count(16) == 313
+def test_known_counts_through_twelve():
+    assert [count_osequences(n) for n in range(1, 13)] == KNOWN_COUNTS
+    assert count_osequences(16) == 313
 
 
-def test_counter_agrees_with_brute_force(census_counter, filtered_compositions):
+def test_counter_agrees_with_brute_force(filtered_compositions):
     for n in range(1, 13):
-        assert census_counter.count(n) == len(filtered_compositions[n]), n
+        assert count_osequences(n) == len(filtered_compositions[n]), n
 
 
 @functools.cache
@@ -115,9 +115,11 @@ def no_pass(*args, **kwargs):
 
 def test_counter_ceiling(monkeypatch):
     # The maximum itself is counted and one more is refused, before any pass.
-    monkeypatch.setattr(CensusCounter, "_count_through", lambda self, limit: list(range(limit + 1)))
-    assert CensusCounter().count(_MAX_CENSUS_CEILING) == _MAX_CENSUS_CEILING
-    monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
+    passes = []
+    monkeypatch.setattr(oseq.census, "_prefix_rows", lambda limit: passes.append(limit) or [])
+    assert CensusCounter().count(_MAX_CENSUS_CEILING) == 0  # no prefix rows, no sequence
+    assert passes == [_MAX_CENSUS_CEILING]
+    monkeypatch.setattr(oseq.census, "_prefix_rows", no_pass)
     with pytest.raises(ResourceLimitError) as excinfo:
         CensusCounter().count(_MAX_CENSUS_CEILING + 1)
     assert str(excinfo.value) == "census length 6001 exceeds the maximum 6000"
@@ -126,7 +128,7 @@ def test_counter_ceiling(monkeypatch):
 def test_counter_hard_maximum(monkeypatch):
     # the census-to-2000 fixture needs at least 2000
     assert _MAX_CENSUS_CEILING >= 2000
-    monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
+    monkeypatch.setattr(oseq.census, "_prefix_rows", no_pass)
     for refused in (count_osequences, build_census, enumerate_osequences):
         with pytest.raises(ResourceLimitError, match="exceeds the maximum"):
             refused(_MAX_CENSUS_CEILING + 1)
@@ -412,7 +414,7 @@ def test_enumerate_smallest_cases():
     ]
 
 
-def test_enumerate_yields_hvectors_in_lex_order(census_counter):
+def test_enumerate_yields_hvectors_in_lex_order():
     # Sorted, unique, valid and as many as the census counts: the exact set,
     # across every boundary between one prefix's tails and the next prefix.
     for n in range(1, 25):
@@ -421,17 +423,17 @@ def test_enumerate_yields_hvectors_in_lex_order(census_counter):
         tuples = [tuple(h) for h in seen]
         assert tuples == sorted(tuples)
         assert len(set(tuples)) == len(tuples)
-        assert len(seen) == census_counter.count(n)
+        assert len(seen) == count_osequences(n)
         assert all(sum(t) == n for t in tuples)
         assert all(is_o_sequence(t).valid for t in tuples)
 
 
-def test_enumerate_matches_composition_filter(census_counter, filtered_compositions):
+def test_enumerate_matches_composition_filter(filtered_compositions):
     for n in range(1, 13):
         expected = filtered_compositions[n]
         got = [tuple(h) for h in enumerate_osequences(n)]
         assert got == expected
-        assert len(got) == census_counter.count(n)
+        assert len(got) == count_osequences(n)
 
 
 def test_enumerate_cap_refusal():

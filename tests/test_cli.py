@@ -370,7 +370,7 @@ def test_count_admits_1001_without_a_flag(capsys):
     ids=["count", "census", "bounds", "enumerate"],
 )
 def test_ceiling_above_the_hard_maximum_exits_two_before_any_pass(capsys, monkeypatch, argv):
-    monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
+    monkeypatch.setattr(oseq.census, "_prefix_rows", no_pass)
     monkeypatch.setattr("oseq.partitions.build_partition_table", no_pass)
     code, out, err = run_cli(capsys, *argv, str(_MAX_CENSUS_CEILING + 1))
     assert (code, out) == (2, "")
@@ -604,7 +604,7 @@ def test_lost_stderr_lines_leave_no_descriptor_open(monkeypatch):
 
 def test_bounds_refuses_both_limits_before_any_pass(capsys, monkeypatch):
     # over both limits, the census maximum is named and neither pass starts
-    monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
+    monkeypatch.setattr(oseq.census, "_prefix_rows", no_pass)
     monkeypatch.setattr("oseq.partitions.build_partition_table", no_pass)
     code, out, err = run_cli(capsys, "bounds", "--max-n", "100001")
     assert (code, out) == (2, "")
@@ -947,7 +947,7 @@ def test_remark_sweep_refuses_negative_max_n():
 
 
 def test_remark_sweep_refuses_a_ceiling_above_the_hard_maximum(capsys, monkeypatch):
-    monkeypatch.setattr(CensusCounter, "_count_through", no_pass)
+    monkeypatch.setattr(oseq.census, "_prefix_rows", no_pass)
     monkeypatch.setattr(sys, "argv", [str(SWEEP_PATH), "--max-n", str(_MAX_CENSUS_CEILING + 1)])
     with pytest.raises(SystemExit) as excinfo:
         runpy.run_path(str(SWEEP_PATH), run_name="__main__")
@@ -998,6 +998,29 @@ def test_remark_sweep_exits_three_when_weights_miss_the_census(capsys, monkeypat
     assert excinfo.value.code == 3
     err = capsys.readouterr().err
     assert "n=1" in err
+
+
+def test_every_program_makes_one_pass(capsys, monkeypatch):
+    # Each program counts through its limit once and reads every length it
+    # needs from that one pass.
+    passes = []
+    prefix_rows = oseq.census._prefix_rows
+
+    def spy(limit):
+        passes.append(limit)
+        return prefix_rows(limit)
+
+    monkeypatch.setattr(oseq.census, "_prefix_rows", spy)
+    for *argv, limit in [("count", "--n", "20"), ("census", "--max-n", "20"),
+                         ("bounds", "--max-n", "20"), ("enumerate", "--n", "12")]:
+        passes.clear()
+        assert run_cli(capsys, *argv, limit)[0] == 0, argv
+        assert passes == [int(limit)], argv
+    passes.clear()
+    monkeypatch.setattr(sys, "argv", [str(SWEEP_PATH), "--max-n", "12"])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(str(SWEEP_PATH), run_name="__main__")
+    assert (excinfo.value.code, passes) == (0, [12])
 
 
 def test_remark_sweep_exits_three_when_the_walk_drops_a_prefix(capsys, monkeypatch):
